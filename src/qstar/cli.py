@@ -27,6 +27,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Optional
@@ -41,7 +42,7 @@ from .algnum import (
     poly_str,
     quadratic_surd_roots,
 )
-from .cm import class_polynomial, identify_cm
+from .cm import _class_polynomial_default, identify_cm
 from .errors import (
     DatasetError,
     InconsistentDatasetError,
@@ -211,9 +212,7 @@ def point_report(ctx: LevelContext, p: CurvePoint) -> PointReport:
     """Derive, factor, and identify the j-polynomial at one point."""
     t0 = time.perf_counter()
     coeffs = j_polynomial_at_point(ctx, p)
-    den = 1
-    for c in coeffs:
-        den = den // _gcd(den, c.denominator) * c.denominator
+    den = lcm(*(c.denominator for c in coeffs))
     ipoly = IntPolynomial([int(c * den) for c in coeffs])
     factors = []
     cm_entries = []
@@ -233,12 +232,6 @@ def point_report(ctx: LevelContext, p: CurvePoint) -> PointReport:
         cm_entries=tuple(cm_entries),
         timing=time.perf_counter() - t0,
     )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _root_json(r) -> dict:
@@ -526,7 +519,7 @@ def cmd_identify_cm(args) -> int:
         data["match"] = None
         data["message"] = "no CM match"
     else:
-        echo = class_polynomial(discriminant)
+        echo = _class_polynomial_default(discriminant)  # built by identify_cm
         data["match"] = {
             "D": str(discriminant),
             "class_polynomial": poly_str(echo.poly),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional
 
 from ._backend import search_sextic
@@ -369,9 +369,7 @@ def search_points(curve: SexticCurve, height_bound: int) -> list:
     if height_bound < 1:
         raise InputError("height bound must be >= 1")
     coeffs = curve.f_coeffs()
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm // gcd(den_lcm, c.denominator) * c.denominator
+    den_lcm = lcm(*(c.denominator for c in coeffs))
     scale = den_lcm * den_lcm
     int_coeffs = tuple(int(c * scale) for c in coeffs)
     out = [INF_PLUS, INF_MINUS]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from ._backend import convolve
 from .errors import SeriesPrecisionError
@@ -250,9 +250,7 @@ class LaurentSeries:
                 if a[j]:
                     s += a[j] * b[k - j]
             b[k] = -s / lead
-        den = 1
-        for x in b:
-            den = den // gcd(den, x.denominator) * x.denominator
+        den = lcm(*(x.denominator for x in b))
         nums = [int(x * den) * self.den for x in b]
         return LaurentSeries(-self.val, nums, den)
 

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import qstar.cli
+import qstar.cm
 from qstar.cm import class_polynomial
 from qstar.errors import PrecisionCapError
 from qstar.fixtures import load_table
@@ -311,6 +313,23 @@ def test_identify_cm_no_match():
     # taken literally, "1 0 -54000" is x^2 - 54000: irreducible, not CM
     data = cli_json("identify-cm", "--minpoly", "1", "0", "-54000")
     assert data["match"] is None
+
+
+def test_identify_cm_builds_matched_polynomial_once(monkeypatch, capsys):
+    built = []
+
+    def counting(D, scale_bits=None):
+        built.append(D)
+        return class_polynomial(D, scale_bits)
+
+    # replace every reference the package holds, as a tracer would
+    for mod in (qstar.cm, qstar.cli):
+        if hasattr(mod, "class_polynomial"):
+            monkeypatch.setattr(mod, "class_polynomial", counting)
+    qstar.cm._class_polynomial_default.cache_clear()
+    assert qstar.cli.main(["identify-cm", "--minpoly", "1", "-54000"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["match"]["D"] == "-12"
+    assert built.count(-12) == 1
 
 
 def test_identify_cm_input_errors():

@@ -24,6 +24,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from qstar.algnum import squarefree_kernel  # noqa: E402
 from qstar.fixtures import fixture_curve  # noqa: E402
 from qstar.modular import dataset_to_json, echelonize, validate_dataset  # noqa: E402
 from qstar.series import LaurentSeries  # noqa: E402
@@ -165,21 +166,6 @@ def norm_pair_mod_p2(fc, p):
     return t, s
 
 
-def squarefree_kernel(n):
-    n = abs(n)
-    out = 1
-    f = 2
-    while f * f <= n:
-        e = 0
-        while n % f == 0:
-            n //= f
-            e += 1
-        if e % 2:
-            out *= f
-        f += 1 if f == 2 else 2
-    return out * n
-
-
 def disc_nonzero_mod_p(fc, p):
     """Whether the sextic has good reduction at odd p: Res(f, f') != 0 mod p."""
     f = [1] + [int(c) % p for c in reversed(fc[:-1])]  # degree 6, leading first
@@ -297,7 +283,7 @@ def detect_field(fc, level):
             dd = t * t - 4 * s
             assert dd >= 0, "eigenvalues must be totally real"
             if dd > 0:
-                return squarefree_kernel(dd), pinned
+                return abs(squarefree_kernel(dd)[0]), pinned
         p += 2
         while any(p % q == 0 for q in (3, 5, 7) if q < p):
             p += 2
