@@ -1,325 +1,40 @@
-"""Exact and certified-precision scalar arithmetic.
+"""Certified interval arithmetic for the class-polynomial builder.
 
-Rationals are stdlib ``fractions.Fraction`` (exported as ``Rational``): always
-normalized, exact field operations.
-
-``FixedReal`` is a fixed-point real: value = mantissa * 2**-scale_bits with a
-tracked worst-case error in ulps (units of 2**-scale_bits).  All rounding is
-round-to-nearest, ties away from zero.  Error propagation is conservative:
-
-  add/sub:  err_a + err_b
-  mul:      ceil((|ma|*err_b + |mb|*err_a + err_a*err_b) / 2**scale) + 1
-  rescale down by k bits: ceil(err / 2**k) + 1
-
-Construction raises PrecisionError once the tracked error reaches half an
-integer unit, which is the signal callers use to restart at a higher scale.
-Transcendental constants and functions (pi, ln2, exp) evaluate internally at
-a guarded scale so their advertised bounds hold at the caller's scale.
+The arithmetic itself is ``mpmath.iv``: every operation rounds its
+endpoints outward, so each interval contains the true value.  These
+helpers hide the interval format from the caller.
 """
 
-from fractions import Fraction
-from functools import lru_cache
-from math import isqrt
+from contextlib import contextmanager
 
-from .errors import PrecisionError
-
-Rational = Fraction
+from mpmath import iv, libmp
 
 
-def _round_shift(n: int, bits: int) -> int:
-    """n / 2**bits rounded to nearest, ties away from zero (bits may be <= 0)."""
-    if bits <= 0:
-        return n << (-bits)
-    half = 1 << (bits - 1)
-    if n >= 0:
-        return (n + half) >> bits
-    return -((-n + half) >> bits)
+@contextmanager
+def iv_precision(bits: int):
+    """Run the block with ``iv.prec = bits``; the setting is process-global."""
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
 
 
-def _round_div(n: int, d: int) -> int:
-    """n / d rounded to nearest, ties away from zero; d > 0."""
-    if n >= 0:
-        return (2 * n + d) // (2 * d)
-    return -((-2 * n + d) // (2 * d))
+def exp_complex(x, y):
+    """q = exp(x + iy) and q**-1 for real intervals x and y."""
+    e = iv.exp(x)
+    c = iv.cos(y)
+    s = iv.sin(y)
+    return iv.mpc(e * c, e * s), iv.mpc(c / e, -s / e)
 
 
-def _ceil_div(n: int, d: int) -> int:
-    return -((-n) // d)
+def unique_integer(x):
+    """The only integer in the real interval x, or None if there is not one.
 
-
-class FixedReal:
-    __slots__ = ("man", "scale", "err")
-
-    def __init__(self, man: int, scale: int, err: int = 0):
-        if scale < 1:
-            raise ValueError("scale_bits must be positive")
-        if err < 0:
-            raise ValueError("error bound must be nonnegative")
-        # error >= 1/2 means no integer can be certified from this value
-        if err >> (scale - 1):
-            raise PrecisionError(f"error bound {err} ulps exceeds 2**{scale - 1}")
-        self.man = man
-        self.scale = scale
-        self.err = err
-
-    @classmethod
-    def from_int(cls, n: int, scale: int) -> "FixedReal":
-        return cls(n << scale, scale, 0)
-
-    @classmethod
-    def from_fraction(cls, fr, scale: int) -> "FixedReal":
-        fr = Fraction(fr)
-        num, den = fr.numerator, fr.denominator
-        man = _round_div(num << scale, den)
-        exact = man * den == num << scale
-        return cls(man, scale, 0 if exact else 1)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.man, 1 << self.scale)
-
-    @property
-    def error(self) -> Fraction:
-        return Fraction(self.err, 1 << self.scale)
-
-    def __float__(self):
-        return self.man / (1 << self.scale)
-
-    def __repr__(self):
-        return f"FixedReal({float(self):.6g}, scale={self.scale}, err={self.err})"
-
-    def _check_scale(self, other: "FixedReal"):
-        if self.scale != other.scale:
-            raise ValueError("operands must share scale_bits; rescale first")
-
-    def __add__(self, other: "FixedReal") -> "FixedReal":
-        self._check_scale(other)
-        return FixedReal(self.man + other.man, self.scale, self.err + other.err)
-
-    def __sub__(self, other: "FixedReal") -> "FixedReal":
-        self._check_scale(other)
-        return FixedReal(self.man - other.man, self.scale, self.err + other.err)
-
-    def __neg__(self) -> "FixedReal":
-        return FixedReal(-self.man, self.scale, self.err)
-
-    def __mul__(self, other: "FixedReal") -> "FixedReal":
-        self._check_scale(other)
-        s = self.scale
-        man = _round_shift(self.man * other.man, s)
-        spill = abs(self.man) * other.err + abs(other.man) * self.err + self.err * other.err
-        return FixedReal(man, s, _ceil_div(spill, 1 << s) + 1)
-
-    def mul_int(self, k: int) -> "FixedReal":
-        return FixedReal(self.man * k, self.scale, self.err * abs(k))
-
-    def div_int(self, k: int) -> "FixedReal":
-        if k == 0:
-            raise ZeroDivisionError
-        if k < 0:
-            return (-self).div_int(-k)
-        return FixedReal(_round_div(self.man, k), self.scale, _ceil_div(self.err, k) + 1)
-
-    def rescale(self, scale: int) -> "FixedReal":
-        d = self.scale - scale
-        if d == 0:
-            return self
-        if d < 0:
-            return FixedReal(self.man << -d, scale, self.err << -d)
-        return FixedReal(_round_shift(self.man, d), scale, _ceil_div(self.err, 1 << d) + 1)
-
-    def shift(self, k: int) -> "FixedReal":
-        """Multiply by 2**k (exact for k >= 0, one rounding otherwise)."""
-        if k >= 0:
-            return FixedReal(self.man << k, self.scale, self.err << k)
-        return FixedReal(
-            _round_shift(self.man, -k), self.scale, _ceil_div(self.err, 1 << -k) + 1
-        )
-
-    def abs_upper(self) -> int:
-        """Upper bound for |value| in ulps."""
-        return abs(self.man) + self.err
-
-    def contains_integer(self):
-        """The unique integer within the error bound, or None if ambiguous."""
-        n = _round_shift(self.man, self.scale)
-        dist = abs(self.man - (n << self.scale))
-        if dist + self.err < (1 << (self.scale - 1)):
-            return n
-        return None
-
-
-def sqrt_fixed(x: FixedReal) -> FixedReal:
-    """Square root; requires x >= 0 up to its error bound."""
-    s = x.scale
-    if x.man < 0:
-        if x.man + x.err < 0:
-            raise ValueError("sqrt of a certified-negative value")
-        return FixedReal(0, s, isqrt(x.err << s) + 1)
-    r = isqrt(x.man << s)
-    # d sqrt = dx / (2 sqrt x); input error x.err ulps, plus 1 ulp from isqrt
-    prop = _ceil_div(x.err << s, 2 * r) + 2 if r else isqrt(x.err << s) + 1
-    return FixedReal(r, s, prop)
-
-
-@lru_cache(maxsize=None)
-def _atan_inv(m: int, scale: int) -> tuple:
-    """(mantissa, err_ulps) for arctan(1/m) at the given scale, m >= 2."""
-    one = 1 << scale
-    total = 0
-    k = 0
-    power = m  # m**(2k+1)
-    terms = 0
-    m2 = m * m
-    while True:
-        term = one // ((2 * k + 1) * power)
-        if term == 0:
-            break
-        total += -term if k & 1 else term
-        power *= m2
-        k += 1
-        terms += 1
-    return total, terms + 1
-
-
-@lru_cache(maxsize=None)
-def pi(scale: int) -> FixedReal:
-    """pi with error_bound_ulps <= 4 (Machin: 16 atan 1/5 - 4 atan 1/239)."""
-    g = 24 + scale.bit_length()
-    sg = scale + g
-    a5, e5 = _atan_inv(5, sg)
-    a239, e239 = _atan_inv(239, sg)
-    man = 16 * a5 - 4 * a239
-    err = 16 * e5 + 4 * e239
-    return FixedReal(_round_shift(man, g), scale, _ceil_div(err, 1 << g) + 1)
-
-
-@lru_cache(maxsize=None)
-def ln2(scale: int) -> FixedReal:
-    """log 2 = sum 1/(k 2**k), error <= 2 ulps."""
-    g = 24 + scale.bit_length()
-    sg = scale + g
-    total = 0
-    k = 1
-    while True:
-        term = (1 << sg) >> k
-        term //= k
-        if term == 0:
-            break
-        total += term
-        k += 1
-    return FixedReal(_round_shift(total, g), scale, _ceil_div(k + 1, 1 << g) + 1)
-
-
-class FixedComplex:
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: FixedReal, im: FixedReal):
-        if re.scale != im.scale:
-            raise ValueError("components must share scale_bits")
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def from_int(cls, n: int, scale: int) -> "FixedComplex":
-        return cls(FixedReal.from_int(n, scale), FixedReal.from_int(0, scale))
-
-    @property
-    def scale(self) -> int:
-        return self.re.scale
-
-    def __repr__(self):
-        return f"FixedComplex({float(self.re):.6g} + {float(self.im):.6g}j)"
-
-    def __add__(self, other):
-        return FixedComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return FixedComplex(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return FixedComplex(-self.re, -self.im)
-
-    def __mul__(self, other):
-        return FixedComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def mul_int(self, k: int):
-        return FixedComplex(self.re.mul_int(k), self.im.mul_int(k))
-
-    def div_int(self, k: int):
-        return FixedComplex(self.re.div_int(k), self.im.div_int(k))
-
-    def rescale(self, scale: int):
-        return FixedComplex(self.re.rescale(scale), self.im.rescale(scale))
-
-    def shift(self, k: int):
-        return FixedComplex(self.re.shift(k), self.im.shift(k))
-
-    def sup_upper(self) -> int:
-        """Upper bound of max(|re|, |im|) in ulps."""
-        return max(self.re.abs_upper(), self.im.abs_upper())
-
-
-def exp_complex(z: FixedComplex) -> FixedComplex:
-    """exp(z) at the scale of z.
-
-    Argument reduction: the real part loses k*log2 (restored by a mantissa
-    shift), the imaginary part drops a multiple of 2 pi, the remainder is
-    halved into |w| <= 1/4 and fed to the Taylor series, then squared back.
+    Reads the raw endpoints, so the test is exact at any precision.
     """
-    s = z.scale
-    if z.re.man == 0 and z.im.man == 0 and z.re.err == 0 and z.im.err == 0:
-        return FixedComplex.from_int(1, s)
-    sg = s + 48
-    w = z.rescale(sg)
-
-    l2 = ln2(sg)
-    k = _round_div(w.re.man, l2.man)
-    re = FixedReal(w.re.man - k * l2.man, sg, w.re.err + abs(k) * l2.err)
-
-    tp = pi(sg).mul_int(2)
-    n = _round_div(w.im.man, tp.man)
-    im = FixedReal(w.im.man - n * tp.man, sg, w.im.err + abs(n) * tp.err)
-
-    w = FixedComplex(re, im)
-    halvings = 0
-    quarter = 1 << (sg - 2)
-    while w.sup_upper() > quarter:
-        w = FixedComplex(
-            FixedReal(_round_shift(w.re.man, 1), sg, _ceil_div(w.re.err, 2) + 1),
-            FixedReal(_round_shift(w.im.man, 1), sg, _ceil_div(w.im.err, 2) + 1),
-        )
-        halvings += 1
-        if halvings > 64:
-            raise PrecisionError("exp argument reduction failed to converge")
-
-    total = FixedComplex.from_int(1, sg) + w
-    term = w
-    i = 2
-    while True:
-        term = (term * w).div_int(i)
-        total = total + term
-        bound = term.sup_upper()
-        if bound <= 2:
-            # remaining tail is geometric at ratio <= 1/4: below bound ulps
-            total = FixedComplex(
-                FixedReal(total.re.man, sg, total.re.err + bound + 1),
-                FixedReal(total.im.man, sg, total.im.err + bound + 1),
-            )
-            break
-        i += 1
-        if i > 4 * sg:
-            raise PrecisionError("exp Taylor series failed to converge")
-
-    for _ in range(halvings):
-        total = total * total
-    total = total.shift(k)
-    return total.rescale(s)
-
-
-def exp_real(x: FixedReal) -> FixedReal:
-    zero = FixedReal.from_int(0, x.scale)
-    return exp_complex(FixedComplex(x, zero)).re
+    a, b = x._mpi_
+    lo = libmp.to_int(a, "c")
+    hi = libmp.to_int(b, "f")
+    return lo if lo == hi else None

@@ -10,8 +10,7 @@ decimal/fraction string, so reruns are bit-identical byte for byte.
 appear in the data section.
 
 Exit codes: 0 success; 2 validation mismatch; 3 malformed input;
-4 precision or size budget exceeded.  The environment variable
-QSTAR_PRECISION_CAP overrides the class-polynomial bit cap.
+4 precision or size budget exceeded.
 
 Polynomial coefficients are typed on the command line leading term
 first (the way they are written on paper: ``--minpoly 1 -54000`` is
@@ -87,23 +86,7 @@ DEFAULT_HEIGHT = 100
 
 
 # ---------------------------------------------------------------------------
-# small exact-arithmetic helpers
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * x + c
-    return acc
+# parsing and rendering helpers
 
 
 def _point_json(p: CurvePoint) -> dict:
@@ -185,7 +168,7 @@ def _check_roots(f: IntPolynomial, kind: str, roots: tuple) -> None:
     """Each claimed rational or surd root must satisfy its factor exactly."""
     if kind == "rational":
         (r,) = roots
-        if _poly_eval(f.coeffs, r) != 0:
+        if f(r) != 0:
             raise QstarError(f"internal: claimed root {r} does not satisfy {poly_str(f)}")
     elif kind == "quadratic":
         c0, c1, c2 = (Fraction(c) for c in f.coeffs)
@@ -198,13 +181,11 @@ def _check_roots(f: IntPolynomial, kind: str, roots: tuple) -> None:
 
 def _check_product(factors: tuple, monic_coeffs: tuple) -> None:
     """The factorization must multiply back to the monic j-polynomial."""
-    prod = [Fraction(1)]
+    prod = IntPolynomial((1,))
     for fr in factors:
-        flist = [Fraction(c) for c in fr.poly.coeffs]
         for _ in range(fr.multiplicity):
-            prod = _poly_mul(prod, flist)
-    lead = prod[-1]
-    if tuple(c / lead for c in prod) != tuple(monic_coeffs):
+            prod = prod * fr.poly
+    if tuple(Fraction(c, prod.leading) for c in prod.coeffs) != tuple(monic_coeffs):
         raise QstarError("internal: factors do not multiply back to the j-polynomial")
 
 

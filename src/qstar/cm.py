@@ -2,21 +2,22 @@
 
 Implements classical reduction theory for negative discriminants (including
 non-fundamental ones), the exponent-two test via genus characters, certified
-evaluation of the class polynomial H_D through fixed-point complex arithmetic
-with explicit error bounds, and the inverse lookup from a candidate minimal
-polynomial of a j-invariant back to its CM discriminant.
+evaluation of the class polynomial H_D in interval arithmetic, and the
+inverse lookup from a candidate minimal polynomial of a j-invariant back to
+its CM discriminant.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import FixedComplex, FixedReal, exp_complex, pi, sqrt_fixed
+from mpmath import iv, ldexp
+
+from .arith import exp_complex, iv_precision, unique_integer
 from .errors import InputError, PrecisionCapError, PrecisionError
 from .algnum import IntPolynomial
 from .series import j_expansion
@@ -34,12 +35,7 @@ __all__ = [
     "identify_cm",
 ]
 
-_DEFAULT_PRECISION_CAP = 1 << 22
-
-
-def _precision_cap() -> int:
-    raw = os.environ.get("QSTAR_PRECISION_CAP")
-    return int(raw) if raw else _DEFAULT_PRECISION_CAP
+_PRECISION_CAP = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +218,7 @@ class ClassPolynomial:
 
 
 def _truncation_length(scale: int, qbits: int) -> int:
-    """Terms of the j-series needed so the dropped tail is below one ulp.
+    """Terms of the j-series needed so the dropped tail is below 2**-scale.
 
     Uses |q| <= 2**-qbits and the coefficient bound c_n <= e^{4 pi sqrt n}
     <= 2**(19 isqrt(n) + 19); the dropped tail is then geometric with ratio
@@ -236,64 +232,48 @@ def _truncation_length(scale: int, qbits: int) -> int:
 
 
 def _j_at_form(form: QuadForm, D: int, scale: int, coeffs: list, qbits_min: int):
-    """Certified fixed-point j((-b + i sqrt|D|)/(2a)) via the truncated series."""
+    """An interval containing j((-b + i sqrt|D|)/(2a)), from the truncated series."""
     a, b = form.a, form.b
     # 2 pi i tau = -pi sqrt|D|/a + i * (-pi b / a)
-    root = sqrt_fixed(FixedReal.from_int(-D, scale))
-    p = pi(scale)
-    re = (p * root).div_int(-a)
-    im = p.mul_int(-b).div_int(a)
-    z = FixedComplex(re, im)
-    q = exp_complex(z)
-    qinv = exp_complex(-z)
-    # certified |q| < 2**-qbits from the computed value
-    qbits = scale - max(q.re.abs_upper(), q.im.abs_upper()).bit_length() - 1
-    if qbits < qbits_min:
-        raise PrecisionCapError("q magnitude bound failed; scale too small")
-    total = FixedComplex.from_int(coeffs[-1], scale)
+    x = -iv.pi * iv.sqrt(-D) / a
+    y = -iv.pi * b / a
+    # certified |q| = e^x < 2**-qbits, the bound the truncation length assumed
+    if not iv.exp(x).b < ldexp(1, -qbits_min):
+        raise PrecisionError("q magnitude bound failed; scale too small")
+    q, qinv = exp_complex(x, y)
+    total = iv.mpc(coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        total = total * q + FixedComplex.from_int(c, scale)
-    total = total + qinv
-    # account for the dropped series tail: below one ulp by construction
-    return FixedComplex(
-        FixedReal(total.re.man, scale, total.re.err + 1),
-        FixedReal(total.im.man, scale, total.im.err + 1),
-    )
+        total = total * q + c
+    # the dropped series tail is below 2**-scale by construction
+    tail = ldexp(1, -scale)
+    tail = iv.mpf([-tail, tail])
+    return total + qinv + iv.mpc(tail, tail)
 
 
-def _poly_mul_linear(coeffs: list, root: FixedComplex, scale: int) -> list:
-    """Multiply a fixed-point-coefficient polynomial by (x - root)."""
-    zero = FixedComplex.from_int(0, scale)
-    out = [zero] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i + 1] = out[i + 1] + c
-        out[i] = out[i] - c * root
-    return out
-
-
-def _default_scale(D: int, h: int) -> int:
-    return 128 + math.ceil(1.2 * math.pi * math.sqrt(-D) * h / math.log(2))
+def _default_scale(D: int, forms: tuple) -> int:
+    """Bits to start from: log2 |H_D(0)| is about pi sqrt|D| sum(1/a) / ln 2."""
+    inv_a = sum(1 / f.a for f in forms)
+    return 128 + math.ceil(1.2 * math.pi * math.sqrt(-D) * inv_a / math.log(2))
 
 
 def class_polynomial(D: int, scale_bits: int = None) -> ClassPolynomial:
     """The monic integer polynomial whose roots are the j-invariants of D.
 
-    Every coefficient is produced with a certified error bound below 1/2 and
-    rounded to the unique integer inside the bound; on failure the working
-    scale doubles, up to the hard cap (QSTAR_PRECISION_CAP overrides it).
+    Every coefficient is computed as an interval and certified when the
+    interval holds exactly one integer; on failure the working precision
+    doubles, up to a hard cap of 2**22 bits.
     """
     forms = _reduced_forms(D)
-    scale = scale_bits if scale_bits else _default_scale(D, len(forms))
-    cap = _precision_cap()
+    scale = scale_bits if scale_bits else _default_scale(D, forms)
     while True:
         try:
             return _class_polynomial_at(D, forms, scale)
-        except (PrecisionError, OverflowError):
+        except PrecisionError:
             scale *= 2
-            if scale > cap:
+            if scale > _PRECISION_CAP:
                 raise PrecisionCapError(
                     f"class polynomial for D={D} uncertified at the "
-                    f"{cap}-bit precision cap"
+                    f"{_PRECISION_CAP}-bit precision cap"
                 )
 
 
@@ -305,16 +285,20 @@ def _class_polynomial_at(D: int, forms: tuple, scale: int) -> ClassPolynomial:
     terms = _truncation_length(scale, qbits_min)
     series = j_expansion(_round_up(terms + 1, 256))
     coeffs = [int(series.coeff(n)) for n in range(0, terms + 1)]
-    poly = [FixedComplex.from_int(1, scale)]
-    for form in forms:
-        jval = _j_at_form(form, D, scale, coeffs, qbits_min)
-        poly = _poly_mul_linear(poly, jval, scale)
-    out = []
-    for coeff in poly:
-        n = coeff.re.contains_integer()
-        if n is None or coeff.im.contains_integer() != 0:
-            raise PrecisionCapError("coefficient failed integer certification")
-        out.append(n)
+    with iv_precision(scale):
+        poly = [iv.mpc(1)]  # constant term first
+        for form in forms:
+            jval = _j_at_form(form, D, scale, coeffs, qbits_min)
+            # multiply by (x - j)
+            poly = [iv.mpc(0)] + poly
+            for i in range(len(poly) - 1):
+                poly[i] -= poly[i + 1] * jval
+        out = []
+        for coeff in poly:
+            n = unique_integer(coeff.real)
+            if n is None or unique_integer(coeff.imag) != 0:
+                raise PrecisionError("coefficient failed integer certification")
+            out.append(n)
     assert out[-1] == 1
     return ClassPolynomial(D, IntPolynomial(tuple(out)), True)
 

@@ -1,205 +1,106 @@
 import random
-from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import iv, ldexp
 
-from qstar.arith import (
-    FixedComplex,
-    FixedReal,
-    _round_shift,
-    exp_complex,
-    exp_real,
-    ln2,
-    pi,
-    sqrt_fixed,
-)
-from qstar.errors import PrecisionError
-
-mpmath.mp.dps = 300
+from qstar.arith import exp_complex, iv_precision, unique_integer
 
 
-def mp_to_fraction(x) -> Fraction:
-    return Fraction(mpmath.nstr(x, 250, strip_zeros=False))
+def mp_exp(xn, xd, yn=0, yd=1):
+    """exp(z) and exp(-z) for z = xn/xd + i yn/yd, at 400 bits."""
+    with mpmath.workprec(400):
+        z = mpmath.mpc(mpmath.mpf(xn) / xd, mpmath.mpf(yn) / yd)
+        return mpmath.exp(z), mpmath.exp(-z)
 
 
-def assert_within_bound(fx: FixedReal, reference: Fraction):
-    assert abs(fx.value - reference) <= fx.error
-
-
-def test_round_shift_ties_away_from_zero():
-    assert _round_shift(3, 1) == 2
-    assert _round_shift(-3, 1) == -2
-    assert _round_shift(5, 2) == 1
-    assert _round_shift(6, 2) == 2  # 1.5 -> 2
-    assert _round_shift(-6, 2) == -2
-    assert _round_shift(3, -2) == 12
-
-
-def test_from_fraction_exact_and_rounded():
-    x = FixedReal.from_fraction(Fraction(3, 4), 10)
-    assert x.err == 0 and x.value == Fraction(3, 4)
-    y = FixedReal.from_fraction(Fraction(1, 3), 10)
-    assert y.err == 1
-    assert abs(y.value - Fraction(1, 3)) <= y.error
-
-
-def test_scale_mismatch_rejected():
-    a = FixedReal.from_int(1, 8)
-    b = FixedReal.from_int(1, 9)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a * b
-
-
-def test_error_at_half_unit_raises():
-    with pytest.raises(PrecisionError):
-        FixedReal(0, 8, 1 << 7)
-
-
-def test_random_chains_stay_within_error():
-    rng = random.Random(20240)
-    scale = 64
-    for _ in range(150):
-        exact = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
-        fx = FixedReal.from_fraction(exact, scale)
-        for _ in range(rng.randint(1, 8)):
-            op = rng.randrange(4)
-            if op == 0:
-                q = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-                fx = fx + FixedReal.from_fraction(q, scale)
-                exact = exact + q
-            elif op == 1:
-                q = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-                fx = fx * FixedReal.from_fraction(q, scale)
-                exact = exact * q
-            elif op == 2:
-                k = rng.randint(1, 12)
-                fx = fx.div_int(k)
-                exact = exact / k
-            else:
-                k = rng.randint(-9, 9)
-                fx = fx.mul_int(k)
-                exact = exact * k
-        assert_within_bound(fx, exact)
-
-
-def test_rescale_round_trips_within_error():
-    x = FixedReal.from_fraction(Fraction(-355, 113), 80)
-    down = x.rescale(24)
-    assert down.scale == 24
-    assert abs(down.value - x.value) <= down.error
-    up = down.rescale(96)
-    assert up.scale == 96 and abs(up.value - x.value) <= up.error
-
-
-@pytest.mark.parametrize("scale", [8, 16, 48, 128, 400])
-def test_pi_reference(scale):
-    p = pi(scale)
-    ref = mp_to_fraction(mpmath.pi)
-    assert p.err <= 4
-    assert abs(p.value - ref) <= p.error + Fraction(1, 10**200)
-
-
-def test_pi_small_scale_mantissas():
-    assert pi(8).man == 804
-    assert pi(16).man == 205887
-
-
-@pytest.mark.parametrize("scale", [8, 32, 160])
-def test_ln2_reference(scale):
-    l = ln2(scale)
-    ref = mp_to_fraction(mpmath.log(2))
-    assert l.err <= 2
-    assert abs(l.value - ref) <= l.error + Fraction(1, 10**200)
+def test_exp_complex_reference_random():
+    rng = random.Random(7171)
+    for _ in range(12):
+        xn, xd = rng.randint(-40, 20), rng.randint(1, 7)
+        yn, yd = rng.randint(-300, 300), rng.randint(1, 7)
+        ref, ref_inv = mp_exp(xn, xd, yn, yd)
+        with iv_precision(160):
+            q, qinv = exp_complex(iv.mpf(xn) / xd, iv.mpf(yn) / yd)
+            assert ref in q and ref_inv in qinv
+            assert q.real.delta < abs(ref) * ldexp(1, -140)
 
 
 @pytest.mark.parametrize(
     "num,den", [(0, 1), (1, 1), (-1, 1), (7, 2), (-7, 3), (20, 1), (-20, 1), (1, 100)]
 )
 def test_exp_real_reference(num, den):
-    scale = 96
-    x = FixedReal.from_fraction(Fraction(num, den), scale)
-    got = exp_real(x)
-    ref = mp_to_fraction(mpmath.exp(mpmath.mpf(num) / den))
-    assert abs(got.value - ref) <= got.error + Fraction(1, 10**150)
-    # exp at scale 96 should keep far more than 60 good bits
-    assert got.err < 1 << 36
+    ref, ref_inv = mp_exp(num, den)
+    with iv_precision(96):
+        q, qinv = exp_complex(iv.mpf(num) / den, iv.mpf(0))
+        assert ref in q and ref_inv in qinv
+        # exp at 96 bits should keep far more than 60 good bits
+        assert q.real.delta < q.real.b * ldexp(1, -60)
 
 
 def test_exp_zero_is_exact_one():
-    z = FixedComplex.from_int(0, 64)
-    e = exp_complex(z)
-    assert e.re.value == 1 and e.im.value == 0
-    assert e.re.err == 0 and e.im.err == 0
+    with iv_precision(64):
+        q, qinv = exp_complex(iv.mpf(0), iv.mpf(0))
+        assert q == 1 and qinv == 1
 
 
 def test_exp_i_pi_is_minus_one():
-    s = 128
-    z = FixedComplex(FixedReal.from_int(0, s), pi(s))
-    e = exp_complex(z)
-    assert abs(e.re.value + 1) <= e.re.error
-    assert abs(e.im.value) <= e.im.error
-    assert e.re.err < 1 << 40
+    with iv_precision(128):
+        q, qinv = exp_complex(iv.mpf(0), iv.pi)
+        assert -1 in q and -1 in qinv
+        assert q.real.delta < ldexp(1, -100)
 
 
 def test_exp_period_two_pi_i():
-    s = 128
-    z = FixedComplex(
-        FixedReal.from_fraction(Fraction(-3, 7), s),
-        FixedReal.from_fraction(Fraction(22, 9), s),
-    )
-    shifted = FixedComplex(z.re, z.im + pi(s).mul_int(10))  # + 5 full turns
-    a = exp_complex(z)
-    b = exp_complex(shifted)
-    tol = a.re.error + b.re.error
-    assert abs(a.re.value - b.re.value) <= tol
-    assert abs(a.im.value - b.im.value) <= a.im.error + b.im.error
+    with iv_precision(128):
+        x, y = iv.mpf(-3) / 7, iv.mpf(22) / 9
+        a, _ = exp_complex(x, y)
+        b, _ = exp_complex(x, y + 10 * iv.pi)  # + 5 full turns
+        assert a.overlap(b)
 
 
-def test_exp_complex_reference_random():
-    rng = random.Random(7171)
-    s = 160
-    for _ in range(12):
-        re = Fraction(rng.randint(-40, 20), rng.randint(1, 7))
-        im = Fraction(rng.randint(-300, 300), rng.randint(1, 7))
-        z = FixedComplex(
-            FixedReal.from_fraction(re, s), FixedReal.from_fraction(im, s)
-        )
-        got = exp_complex(z)
-        ref = mpmath.exp(
-            mpmath.mpc(
-                mpmath.mpf(re.numerator) / re.denominator,
-                mpmath.mpf(im.numerator) / im.denominator,
-            )
-        )
-        slack = Fraction(1, 10**150)
-        assert abs(got.re.value - mp_to_fraction(ref.real)) <= got.re.error + slack
-        assert abs(got.im.value - mp_to_fraction(ref.imag)) <= got.im.error + slack
-
-
-@pytest.mark.parametrize("num,den", [(2, 1), (3, 1), (1, 2), (9999, 7)])
-def test_sqrt_reference(num, den):
-    s = 96
-    x = FixedReal.from_fraction(Fraction(num, den), s)
-    r = sqrt_fixed(x)
-    ref = mp_to_fraction(mpmath.sqrt(mpmath.mpf(num) / den))
-    assert abs(r.value - ref) <= r.error + Fraction(1, 10**150)
-
-
-def test_sqrt_of_certified_negative_rejected():
-    x = FixedReal.from_int(-1, 32)
-    with pytest.raises(ValueError):
-        sqrt_fixed(x)
+def test_q_times_qinv_contains_one():
+    with iv_precision(200):
+        q, qinv = exp_complex(iv.mpf(-3) / 7, iv.mpf(22) / 9)
+        assert 1 in q * qinv
 
 
 def test_contains_integer():
-    s = 32
-    x = FixedReal.from_int(7, s)
-    assert x.contains_integer() == 7
-    y = FixedReal((7 << s) + 3, s, 5)
-    assert y.contains_integer() == 7
-    # dead on a half-integer: ambiguous
-    z = FixedReal((7 << s) + (1 << (s - 1)), s, 2)
-    assert z.contains_integer() is None
+    n = 12345678901234567890123
+    with iv_precision(300):
+        t = ldexp(1, -200)
+        assert unique_integer(iv.mpf(n)) == n
+        assert unique_integer(iv.mpf(n) + iv.mpf([-t, t])) == n
+        assert unique_integer(iv.mpf(-n) + iv.mpf([-t, t])) == -n
+
+
+def test_unique_integer_rejects_interval_without_integer():
+    # rounding these endpoints to 53 bits, in any direction, would put n in
+    n = 1000003
+    with iv_precision(300):
+        x = iv.mpf(n) + iv.mpf([ldexp(1, -100), ldexp(1, -99)])
+        assert n not in x
+        assert unique_integer(x) is None
+
+
+def test_unique_integer_rejects_half_integer():
+    n = 987654321
+    with iv_precision(300):
+        t = ldexp(1, -200)
+        half = iv.mpf(0.5) + iv.mpf([-t, t])
+        assert unique_integer(n + half) is None
+        assert unique_integer(-n - half) is None
+
+
+def test_unique_integer_rejects_wide_interval():
+    with iv_precision(64):
+        assert unique_integer(iv.mpf([-0.9, 1.1])) is None
+
+
+def test_iv_precision_restores_on_error():
+    prec = iv.prec
+    with pytest.raises(ValueError):
+        with iv_precision(prec + 77):
+            assert iv.prec == prec + 77
+            raise ValueError
+    assert iv.prec == prec

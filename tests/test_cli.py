@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from mpmath import iv
 
 import qstar.cli
 import qstar.cm
@@ -367,7 +368,11 @@ def test_help_exits_zero():
     assert run_cli("pipeline", "--help").returncode == EXIT_OK
 
 
-def test_precision_cap_env_override(monkeypatch):
-    monkeypatch.setenv("QSTAR_PRECISION_CAP", "64")
+def test_precision_cap_raises_and_restores_iv_prec(monkeypatch):
+    prec = iv.prec
+    class_polynomial(-71)
+    assert iv.prec == prec
+    monkeypatch.setattr(qstar.cm, "_PRECISION_CAP", 64)
     with pytest.raises(PrecisionCapError):
         class_polynomial(-71, scale_bits=8)
+    assert iv.prec == prec
