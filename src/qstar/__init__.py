@@ -17,7 +17,6 @@ from .errors import (
     PrecisionCapError,
     PrecisionError,
     QstarError,
-    ReductionError,
     SeriesPrecisionError,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "DatasetError",
     "InconsistentDatasetError",
     "NonIntegralCoefficientError",
-    "ReductionError",
     "InsufficientPrecisionError",
     "FactorizationError",
     "InputError",

@@ -22,9 +22,8 @@ from typing import Optional
 
 import mpmath
 
+from ._backend import perfect_square_root
 from .errors import FactorizationError, InputError
-
-Rational = Fraction
 
 __all__ = [
     "IntPolynomial",
@@ -195,11 +194,12 @@ def squarefree_kernel(n: int, budget: int = 6_000_000) -> tuple:
 
 
 def _is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
+    return n >= 0 and perfect_square_root(n) is not None
 
 
 # ---------------------------------------------------------------------------
-# dense integer polynomial helpers (coefficient lists, constant term first)
+# dense polynomial helpers (coefficient lists, constant term first); the
+# _z* helpers work unchanged on Fraction coefficients, which hyperelliptic uses
 
 
 def _trim(c):
@@ -218,8 +218,8 @@ def _zadd(a, b):
     return _trim(out)
 
 
-def _zneg(a):
-    return [-x for x in a]
+def _zsub(a, b):
+    return _zadd(a, [-x for x in b])
 
 
 def _zmul(a, b):
@@ -449,67 +449,56 @@ def discriminant(p: IntPolynomial) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic mod a prime p (lists of ints in [0, p))
+# polynomial arithmetic mod m: the Z helpers followed by one reduction
+# (lists of ints in [0, m); m is a prime p, or p**e during Hensel lifting)
 
 
-def _pm_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _mod_poly(a, m):
+    return _trim([x % m for x in a])
 
 
-def _pm_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pm_trim(out)
+def _centered(a, m):
+    half = m // 2
+    return _trim([x - m if x > half else x for x in (y % m for y in a)])
 
 
-def _pm_divmod(a, b, p):
-    a = a[:]
-    inv = pow(b[-1], p - 2, p)
+def _divmod_mod(a, b, m):
+    """(quotient, remainder) of a by b mod m; lc(b) must be a unit mod m."""
+    a = _mod_poly(a, m)
+    inv = pow(b[-1], -1, m)
     q = [0] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
-        c = a[-1] * inv % p
+        c = a[-1] * inv % m
         sh = len(a) - len(b)
         if c:
             q[sh] = c
             for i, x in enumerate(b):
-                a[sh + i] = (a[sh + i] - c * x) % p
+                a[sh + i] = (a[sh + i] - c * x) % m
         del a[-1]
-        _pm_trim(a)
+        _trim(a)
     return q, a
 
 
 def _pm_gcd(a, b, p):
     a, b = a[:], b[:]
     while b:
-        _, r = _pm_divmod(a, b, p)
-        a, b = b, r
+        a, b = b, _divmod_mod(a, b, p)[1]
     if a:
-        inv = pow(a[-1], p - 2, p)
+        inv = pow(a[-1], -1, p)
         a = [x * inv % p for x in a]
     return a
 
 
 def _pm_pow(base, e, mod, p):
     result = [1]
-    base = _pm_divmod(base, mod, p)[1] if len(base) >= len(mod) else base[:]
+    base = _divmod_mod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _pm_divmod(_pm_mul(result, base, p), mod, p)[1]
+            result = _divmod_mod(_zmul(result, base), mod, p)[1]
         e >>= 1
         if e:
-            base = _pm_divmod(_pm_mul(base, base, p), mod, p)[1]
+            base = _divmod_mod(_zmul(base, base), mod, p)[1]
     return result
-
-
-def _pm_sub(a, b, p):
-    return _pm_trim([(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
 def _pm_xgcd(a, b, p):
@@ -518,11 +507,11 @@ def _pm_xgcd(a, b, p):
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = _pm_divmod(r0, r1, p)
+        q, r = _divmod_mod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _pm_sub(s0, _pm_mul(q, s1, p), p)
-        t0, t1 = t1, _pm_sub(t0, _pm_mul(q, t1, p), p)
-    inv = pow(r0[-1], p - 2, p)
+        s0, s1 = s1, _mod_poly(_zsub(s0, _zmul(q, s1)), p)
+        t0, t1 = t1, _mod_poly(_zsub(t0, _zmul(q, t1)), p)
+    inv = pow(r0[-1], -1, p)
     return (
         [x * inv % p for x in r0],
         [x * inv % p for x in s0],
@@ -538,7 +527,7 @@ def _equal_degree_split(f, d, p, rng):
     e = (p**d - 1) // 2
     while True:
         a = [rng.randrange(p) for _ in range(n)]
-        _pm_trim(a)
+        _trim(a)
         if len(a) < 2:
             continue
         g = _pm_gcd(f, a, p)
@@ -550,13 +539,13 @@ def _equal_degree_split(f, d, p, rng):
                 continue
             b = b[:]
             b[0] = (b[0] - 1) % p
-            _pm_trim(b)
+            _trim(b)
             if not b:
                 continue
             w = _pm_gcd(f, b, p)
             if not (0 < len(w) - 1 < n):
                 continue
-        q, r = _pm_divmod(f, w, p)
+        q, r = _divmod_mod(f, w, p)
         assert not r
         return _equal_degree_split(w, d, p, rng) + _equal_degree_split(q, d, p, rng)
 
@@ -570,82 +559,36 @@ def _factor_mod_p(f, p, rng):
     while len(v) - 1 > 2 * d:
         d += 1
         h = _pm_pow(h, p, v, p)
-        hx = _pm_sub(h, [0, 1], p)
+        hx = _mod_poly(_zsub(h, [0, 1]), p)
         g = _pm_gcd(v, hx, p) if hx else v[:]
         if len(g) > 1:
             out.extend(_equal_degree_split(g, d, p, rng))
-            v, r = _pm_divmod(v, g, p)
+            v, r = _divmod_mod(v, g, p)
             assert not r
             if len(v) > 1:
-                h = _pm_divmod(h, v, p)[1]
+                h = _divmod_mod(h, v, p)[1]
     if len(v) > 1:
         out.append(v)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting to a power of p
-
-
-def _mod_poly(a, m):
-    return _pm_trim([x % m for x in a])
-
-
-def _centered(a, m):
-    half = m // 2
-    return _pm_trim([x - m if x > half else x for x in (y % m for y in a)])
-
-
-def _mm_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return _pm_trim(out)
-
-
-def _mm_sub(a, b, m):
-    return _pm_trim([(x - y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-
-def _mm_add(a, b, m):
-    return _pm_trim([(x + y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-
-def _mm_divmod_monic(a, b, m):
-    assert b[-1] == 1
-    a = [x % m for x in a]
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] % m
-        sh = len(a) - len(b)
-        if c:
-            q[sh] = c
-            for i, x in enumerate(b):
-                a[sh + i] = (a[sh + i] - c * x) % m
-        del a[-1]
-        _pm_trim(a)
-    return _pm_trim(q), a
+# Hensel lifting to a power of p, on the same mod-m helpers
 
 
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic lift step: f = g*h and s*g + t*h = 1 from mod m to mod m^2."""
     m2 = m * m
-    e = _mm_sub(_mod_poly(f, m2), _mm_mul(g, h, m2), m2)
-    dg = _mm_divmod_monic(_mm_mul(t, e, m2), g, m2)[1]
-    num = _mm_sub(e, _mm_mul(h, dg, m2), m2)
-    dh, rem = _mm_divmod_monic(num, g, m2)
+    e = _mod_poly(_zsub(f, _zmul(g, h)), m2)
+    dg = _divmod_mod(_zmul(t, e), g, m2)[1]
+    dh, rem = _divmod_mod(_zsub(e, _zmul(h, dg)), g, m2)
     assert not rem, "inexact Hensel quotient"
-    g2 = _mm_add(g, dg, m2)
-    h2 = _mm_add(h, dh, m2)
-    b = _mm_sub(_mm_add(_mm_mul(s, g2, m2), _mm_mul(t, h2, m2), m2), [1], m2)
-    sb = _mm_mul(s, b, m2)
-    q, sb_mod = _mm_divmod_monic(sb, h2, m2)
-    s2 = _mm_sub(s, sb_mod, m2)
-    t2 = _mm_sub(_mm_sub(t, _mm_mul(t, b, m2), m2), _mm_mul(q, g2, m2), m2)
+    g2 = _mod_poly(_zadd(g, dg), m2)
+    h2 = _mod_poly(_zadd(h, dh), m2)
+    b = _mod_poly(_zsub(_zadd(_zmul(s, g2), _zmul(t, h2)), [1]), m2)
+    q, sb_mod = _divmod_mod(_zmul(s, b), h2, m2)
+    s2 = _mod_poly(_zsub(s, sb_mod), m2)
+    t2 = _mod_poly(_zsub(t, _zadd(_zmul(t, b), _zmul(q, g2))), m2)
     return g2, h2, s2, t2
 
 
@@ -674,10 +617,10 @@ def _hensel_tree(f, locals_, p, target):
     left, right = locals_[:half], locals_[half:]
     g0 = [1]
     for u in left:
-        g0 = _pm_mul(g0, u, p)
+        g0 = _mod_poly(_zmul(g0, u), p)
     h0 = [1]
     for u in right:
-        h0 = _pm_mul(h0, u, p)
+        h0 = _mod_poly(_zmul(h0, u), p)
     g, h, _ = _hensel_pair(f, g0, h0, p, target)
     return _hensel_tree(g, left, p, target) + _hensel_tree(h, right, p, target)
 
@@ -699,7 +642,7 @@ def _choose_prime(f) -> int:
         if p <= 16 or lead % p == 0:
             continue
         fp = _mod_poly(f, p)
-        deriv = _pm_trim([i * fp[i] % p for i in range(1, len(fp))])
+        deriv = _mod_poly(_zderiv(fp), p)
         if not deriv:
             continue
         if len(_pm_gcd(fp, deriv, p)) == 1:
@@ -745,7 +688,7 @@ def _factor_squarefree_monic(f) -> list:
         for combo in itertools.combinations(remaining, size):
             cand = [1]
             for i in combo:
-                cand = _mm_mul(cand, lifted[i], m)
+                cand = _mod_poly(_zmul(cand, lifted[i]), m)
             cand = _centered(cand, m)
             if not cand or cand[0] == 0 or current[0] % cand[0]:
                 continue
@@ -778,7 +721,7 @@ def _yun_squarefree(f) -> list:
     y = _qdiv_exact(fp, g)
     i = 1
     while len(w) > 1:
-        z = _zadd(y, _zneg(_zderiv(w)))
+        z = _zsub(y, _zderiv(w))
         h = _zgcd_poly(w, z) if z else w[:]
         if len(h) > 1:
             out.append((h, i))
@@ -1178,7 +1121,9 @@ def identify_multiquadratic(g: IntPolynomial) -> Optional[MultiQuadElement]:
         return theta if _certified(theta, g) else None
     k = deg.bit_length() - 1
     floor = _min_identify_prec(g)
-    prec = 256
+    # below the floor, unresolved root sums round into huge junk rationals
+    # whose squarefree kernels can only exhaust the factoring budget
+    prec = min(max(256, floor), 1 << 15)
     prev_sig = None
     stable = 0
     while prec <= (1 << 15):

@@ -29,10 +29,6 @@ class NonIntegralCoefficientError(DatasetError):
     """Derived equation coefficients failed the integrality check."""
 
 
-class ReductionError(QstarError):
-    """Basis reduction hit an impossible pole order or nonzero residual."""
-
-
 class InsufficientPrecisionError(QstarError):
     """Input data is too short for the requested computation."""
 

@@ -20,82 +20,10 @@ from math import lcm
 from typing import Optional
 
 from ._backend import search_sextic
+from .algnum import IntPolynomial, _trim, _zadd, _zeval, _zmul, _zsub, discriminant
 from .errors import InputError
 
 Rational = Fraction
-
-
-# ---------------------------------------------------------------------------
-# small dense polynomial helpers over Fraction (low-to-high coefficient lists)
-
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _poly_trim(out)
-
-
-def _poly_scale(a, c):
-    c = Fraction(c)
-    return _poly_trim([x * c for x in a])
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_eval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_derivative(p):
-    return _poly_trim([i * c for i, c in enumerate(p)][1:])
-
-
-def _poly_mod(a, b):
-    """Remainder of a by b over Q (b nonzero)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        q = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
-        _poly_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _poly_gcd_is_constant(a, b) -> bool:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_mod(a, b)
-    return len(a) == 1
-
-
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -113,7 +41,8 @@ class SexticCurve:
         for name in ("a0", "a1", "a2", "a3", "a4", "a5"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         f = self.f_coeffs()
-        if not _poly_gcd_is_constant(f, _poly_derivative(f)):
+        den = lcm(*(c.denominator for c in f))
+        if discriminant(IntPolynomial(tuple(c * den for c in f))) == 0:
             raise InputError("sextic has a repeated root; the curve is singular")
 
     @classmethod
@@ -126,7 +55,7 @@ class SexticCurve:
         return [self.a0, self.a1, self.a2, self.a3, self.a4, self.a5, Fraction(1)]
 
     def f_at(self, x) -> Rational:
-        return _poly_eval(self.f_coeffs(), Fraction(x))
+        return _zeval(self.f_coeffs(), Fraction(x))
 
     def point(self, x, y) -> "CurvePoint":
         """Validated affine point."""
@@ -196,32 +125,27 @@ class XYPoly:
 
     @classmethod
     def make(cls, p, q=()) -> "XYPoly":
-        return cls(tuple(_poly_trim([Fraction(c) for c in p])),
-                   tuple(_poly_trim([Fraction(c) for c in q])))
+        return cls(tuple(_trim([Fraction(c) for c in p])),
+                   tuple(_trim([Fraction(c) for c in q])))
 
     def involute(self) -> "XYPoly":
         return XYPoly(self.p, tuple(-c for c in self.q))
 
     def __add__(self, other: "XYPoly") -> "XYPoly":
         return XYPoly(
-            tuple(_poly_add(list(self.p), list(other.p))),
-            tuple(_poly_add(list(self.q), list(other.q))),
+            tuple(_zadd(self.p, other.p)),
+            tuple(_zadd(self.q, other.q)),
         )
 
     def __sub__(self, other: "XYPoly") -> "XYPoly":
-        return self + XYPoly(
-            tuple(-c for c in other.p), tuple(-c for c in other.q)
-        )
+        return XYPoly(tuple(_zsub(self.p, other.p)), tuple(_zsub(self.q, other.q)))
 
     def mul(self, other: "XYPoly", curve: SexticCurve) -> "XYPoly":
         """Product reduced by y**2 = f(x) on the given curve."""
-        pp = _poly_mul(list(self.p), list(other.p))
-        qq = _poly_mul(list(self.q), list(other.q))
-        pq = _poly_add(
-            _poly_mul(list(self.p), list(other.q)),
-            _poly_mul(list(self.q), list(other.p)),
-        )
-        pp = _poly_add(pp, _poly_mul(qq, curve.f_coeffs()))
+        pp = _zmul(self.p, other.p)
+        qq = _zmul(self.q, other.q)
+        pq = _zadd(_zmul(self.p, other.q), _zmul(self.q, other.p))
+        pp = _zadd(pp, _zmul(qq, curve.f_coeffs()))
         return XYPoly(tuple(pp), tuple(pq))
 
     def mul_x(self) -> "XYPoly":
@@ -232,11 +156,11 @@ class XYPoly:
 
     def add_constant(self, c) -> "XYPoly":
         p = list(self.p) if self.p else [Fraction(0)]
-        p = _poly_add(p, [Fraction(c)])
+        p = _zadd(p, [Fraction(c)])
         return XYPoly(tuple(p), self.q)
 
     def evaluate(self, x, y) -> Rational:
-        return _poly_eval(list(self.p), x) + _poly_eval(list(self.q), x) * y
+        return _zeval(self.p, x) + _zeval(self.q, x) * y
 
     def evaluate_series(self, xs, ys):
         """Value on Laurent series coordinates (xs, ys)."""

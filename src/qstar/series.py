@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from ._backend import convolve
 from .errors import SeriesPrecisionError
-
-Rational = Fraction
 
 
 def _content(nums) -> int:
@@ -280,21 +278,6 @@ class LaurentSeries:
         return LaurentSeries(d * self.val, out, self.den, _normalized=True)
 
 
-def _int_pow_list(a: list, n: int, out_len: int) -> list:
-    """a(q)**n truncated to out_len coefficients (a has constant term)."""
-    result = [1] + [0] * (out_len - 1)
-    base = a[:out_len]
-    if len(base) < out_len:
-        base = base + [0] * (out_len - len(base))
-    while n:
-        if n & 1:
-            result = convolve(result, base, out_len)
-        n >>= 1
-        if n:
-            base = convolve(base, base, out_len)
-    return result
-
-
 def _eta_quotient_list(out_len: int) -> list:
     """Coefficients of prod_{n>=1} (1 - q**n) up to q**(out_len-1)."""
     out = [0] * out_len
@@ -334,21 +317,10 @@ def j_expansion(prec: int) -> LaurentSeries:
     if prec < 0:
         raise ValueError("j expansion needs precision >= 0")
     out_len = prec + 1  # exponents -1 .. prec-1
-    if out_len <= 0:
-        return LaurentSeries.zero(prec)
-    eta = _eta_quotient_list(out_len)
-    delta_over_q = _int_pow_list(eta, 24, out_len)
-    # invert the unit-constant integer series in place of LaurentSeries.invert
-    inv = [0] * out_len
-    inv[0] = 1
-    for k in range(1, out_len):
-        s = 0
-        for j in range(1, k + 1):
-            if delta_over_q[j]:
-                s += delta_over_q[j] * inv[k - j]
-        inv[k] = -s
+    eta = LaurentSeries(0, _eta_quotient_list(out_len), 1, _normalized=True)
     sig3 = _sigma3_list(out_len)
-    e4 = [1] + [240 * sig3[m] for m in range(1, out_len)]
-    e4cubed = _int_pow_list(e4, 3, out_len)
-    nums = convolve(e4cubed, inv, out_len)
-    return LaurentSeries(-1, nums, 1, _normalized=True)
+    e4 = LaurentSeries(
+        0, [1] + [240 * sig3[m] for m in range(1, out_len)], 1, _normalized=True
+    )
+    # j = E4^3 / Delta with Delta = q * eta^24
+    return (e4**3 / eta**24).shift(-1)

@@ -7,6 +7,7 @@ from math import gcd, lcm
 import pytest
 import sympy
 
+from qstar import algnum
 from qstar.algnum import (
     IntPolynomial,
     MultiQuadElement,
@@ -396,6 +397,33 @@ def test_identify_huge_coordinates():
     assert theta is not None
     assert theta.generators == (5, 13)
     assert minpoly_of(theta).coeffs == g.coeffs
+
+
+def test_identify_starts_at_precision_floor(monkeypatch):
+    # the j-polynomial factor at (-4/3, 425/27) on X0*(85): below its
+    # precision floor, root sums round into 736-bit junk rationals whose
+    # squarefree kernels exhaust the factoring budget
+    g = P((
+        10245040165625222249137492965652114740183172896107279313024669803951161890625,
+        1863900172761620605942947176284552128595564241774640874139508432485343750,
+        84992249598787600862303046538541369208485595684118479899024962042875,
+        -1060661470308278401373934864354697896570124462918515791198250,
+        3381391913522726342930221472392241170198527451848561,
+    ))
+    exhausted = []
+    original = algnum.squarefree_kernel
+
+    def spy(n, budget=6_000_000):
+        try:
+            return original(n, budget=100_000)
+        except FactorizationError:
+            exhausted.append(abs(n).bit_length())
+            raise
+
+    monkeypatch.setattr(algnum, "squarefree_kernel", spy)
+    theta = identify_multiquadratic(g)
+    assert theta is not None and theta.generators == (85, -4295)
+    assert exhausted == []
 
 
 # --- Klein-four quartic subfields ---------------------------------------------

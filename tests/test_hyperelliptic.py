@@ -53,6 +53,13 @@ def test_non_squarefree_rejected():
     # squarefree with a rational double point would need repeated factors;
     # x^6 + 1 is fine
     SexticCurve.from_coeffs([1, 0, 0, 0, 0, 0])
+    # rational coefficients are cleared before the discriminant test:
+    # (x^2 - 1/4)^2 (x^2 + 1) is singular, x^6 + 1/2 is not
+    with pytest.raises(InputError):
+        SexticCurve.from_coeffs(
+            [Fraction(1, 16), 0, Fraction(-7, 16), 0, Fraction(1, 2), 0]
+        )
+    SexticCurve.from_coeffs([Fraction(1, 2), 0, 0, 0, 0, 0])
 
 
 def test_point_validation():
