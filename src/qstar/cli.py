@@ -44,6 +44,7 @@ from .algnum import (
 from .cm import _class_polynomial_default, identify_cm
 from .errors import (
     DatasetError,
+    FactorizationError,
     InconsistentDatasetError,
     InputError,
     InsufficientPrecisionError,
@@ -632,13 +633,11 @@ def main(argv=None) -> int:
     except (InconsistentDatasetError, NonIntegralCoefficientError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (InsufficientPrecisionError, SeriesPrecisionError, PrecisionError) as exc:
+    except (InsufficientPrecisionError, SeriesPrecisionError, PrecisionError,
+            FactorizationError) as exc:
         print(f"precision error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (InputError, DatasetError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
+    except (InputError, DatasetError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,7 +1,7 @@
-"""Binary quadratic forms, genus theory, class polynomials, CM detection.
+"""Binary quadratic forms, class polynomials, CM detection.
 
 Implements classical reduction theory for negative discriminants (including
-non-fundamental ones), the exponent-two test via genus characters, certified
+non-fundamental ones), the exponent-two test on reduced forms, certified
 evaluation of the class polynomial H_D in interval arithmetic, and the
 inverse lookup from a candidate minimal polynomial of a j-invariant back to
 its CM discriminant.
@@ -9,7 +9,6 @@ its CM discriminant.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,15 +21,12 @@ from .errors import InputError, PrecisionCapError, PrecisionError
 from .algnum import IntPolynomial
 from .series import j_expansion
 
-_log = logging.getLogger(__name__)
-
 __all__ = [
     "QuadForm",
     "ClassPolynomial",
     "reduced_forms",
     "class_number",
     "one_class_per_genus",
-    "genus_character_vector",
     "class_polynomial",
     "identify_cm",
 ]
@@ -66,20 +62,14 @@ class QuadForm:
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def __str__(self):
-        return f"({self.a},{self.b},{self.c})"
 
-
-def _validate_discriminant(D: int):
+@lru_cache(maxsize=None)
+def _reduced_forms(D: int) -> tuple:
+    """The reduced forms of D, sorted by (a, b, c) as the loops produce them."""
     if D >= 0:
         raise InputError("discriminant must be negative")
     if D % 4 not in (0, 1):
         raise InputError("discriminant must be 0 or 1 mod 4")
-
-
-@lru_cache(maxsize=None)
-def _reduced_forms(D: int) -> tuple:
-    _validate_discriminant(D)
     out = []
     amax = isqrt(-D // 3)
     for a in range(1, amax + 1):
@@ -97,7 +87,6 @@ def _reduced_forms(D: int) -> tuple:
             if gcd(gcd(a, b), c) != 1:
                 continue
             out.append(QuadForm(a, b, c))
-    out.sort(key=lambda f: (f.a, f.b, f.c))
     return tuple(out)
 
 
@@ -110,100 +99,15 @@ def class_number(D: int) -> int:
     return len(_reduced_forms(D))
 
 
-# ---------------------------------------------------------------------------
-# genus characters
-
-
-def _legendre(r: int, p: int) -> int:
-    v = pow(r % p, (p - 1) // 2, p)
-    return 1 if v == 1 else -1
-
-
-def _delta(r: int) -> int:
-    return -1 if (r - 1) // 2 % 2 else 1
-
-
-def _epsilon(r: int) -> int:
-    return -1 if (r * r - 1) // 8 % 2 else 1
-
-
-def _odd_prime_divisors(n: int) -> list:
-    out = []
-    n = abs(n)
-    while n % 2 == 0:
-        n //= 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _assigned_characters(D: int) -> list:
-    """Character evaluators assigned to discriminant D, in canonical order."""
-    chars = [(lambda r, p=p: _legendre(r, p)) for p in _odd_prime_divisors(D)]
-    if D % 4 == 0:
-        n = -D // 4
-        if n % 4 == 1 or n % 8 == 4:
-            chars.append(_delta)
-        elif n % 8 == 2:
-            chars.append(lambda r: _delta(r) * _epsilon(r))
-        elif n % 8 == 6:
-            chars.append(_epsilon)
-        elif n % 8 == 0:
-            chars.append(_delta)
-            chars.append(_epsilon)
-        # n % 4 == 3: the odd-prime characters already separate the genera
-    return chars
-
-
-def _represented_coprime(form: QuadForm, D: int) -> int:
-    """A value of the form coprime to 2D, built by CRT over the primes of 2D.
-
-    Per prime p one of (1,0), (0,1), (1,1) evaluates to a unit mod p: a and c
-    cannot both vanish at an odd p | D (that would force p | b, contradicting
-    primitivity), and when both are even, b is odd so a+b+c is a unit mod 2.
-    """
-    primes = [2] + _odd_prime_divisors(D)
-    x, y, mod = 0, 0, 1
-    for p in primes:
-        if form.a % p:
-            xr, yr = 1, 0
-        elif form.c % p:
-            xr, yr = 0, 1
-        else:
-            xr, yr = 1, 1
-        inv = pow(mod, -1, p)
-        x += mod * ((xr - x) * inv % p)
-        y += mod * ((yr - y) * inv % p)
-        mod *= p
-    r = form.a * x * x + form.b * x * y + form.c * y * y
-    assert gcd(r, 2 * D) == 1
-    return r
-
-
-def genus_character_vector(form: QuadForm) -> tuple:
-    """The form's values under the assigned characters of its discriminant."""
-    D = form.discriminant
-    r = _represented_coprime(form, D)
-    return tuple(chi(r) for chi in _assigned_characters(D))
-
-
 def one_class_per_genus(D: int) -> bool:
     """True iff the form class group of D has exponent <= 2.
 
-    Each genus is a coset of the principal genus, so classes land in the same
-    genus exactly when their assigned character vectors agree; the vectors are
-    pairwise distinct precisely when every genus holds one class.
+    The ambiguous-form test: exponent <= 2 means every class is its own
+    inverse, and a reduced form (a, b, c) is equivalent to its inverse
+    (a, -b, c) exactly when b = 0, b = a or a = c.  The class group has
+    exponent <= 2 exactly when each genus holds one class (Cox, Thm 3.15).
     """
-    forms = _reduced_forms(D)
-    vectors = {genus_character_vector(f) for f in forms}
-    return len(vectors) == len(forms)
+    return all(f.b == 0 or f.b == f.a or f.a == f.c for f in _reduced_forms(D))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +187,8 @@ def _class_polynomial_at(D: int, forms: tuple, scale: int) -> ClassPolynomial:
     amax = max(f.a for f in forms)
     qbits_min = max(6, int(math.pi * math.sqrt(-D) / (amax * math.log(2))) - 2)
     terms = _truncation_length(scale, qbits_min)
-    series = j_expansion(_round_up(terms + 1, 256))
+    # terms + 1 rounded up to a multiple of 256, so nearby D share the cache
+    series = j_expansion((terms + 256) // 256 * 256)
     coeffs = [int(series.coeff(n)) for n in range(0, terms + 1)]
     with iv_precision(scale):
         poly = [iv.mpc(1)]  # constant term first
@@ -303,10 +208,6 @@ def _class_polynomial_at(D: int, forms: tuple, scale: int) -> ClassPolynomial:
     return ClassPolynomial(D, IntPolynomial(tuple(out)), True)
 
 
-def _round_up(n: int, unit: int) -> int:
-    return ((n + unit - 1) // unit) * unit
-
-
 @lru_cache(maxsize=256)
 def _class_polynomial_default(D: int) -> ClassPolynomial:
     return class_polynomial(D)
@@ -321,9 +222,10 @@ def identify_cm(g: IntPolynomial):
 
     Scans candidate discriminants with matching class number inside a window
     sized from the largest-root estimate log|j| ~ pi sqrt|D| (widened by a
-    factor of four), cheapest filters first; a candidate survives only by
-    exact polynomial equality. One-class-per-genus candidates are tried
-    first, then the rest.
+    factor of four), cheapest filters first; one-class-per-genus candidates
+    come first, then the rest, each by ascending |D|. The first exact match
+    is the answer: distinct discriminants have disjoint sets of j-invariants,
+    so at most one H_D equals g.
     """
     if not 1 <= g.degree <= 16:
         raise InputError("CM lookup supports degree 1 through 16")
@@ -346,18 +248,12 @@ def identify_cm(g: IntPolynomial):
             continue
         if not _constant_size_plausible(log_c0, -absd, forms):
             continue
-        candidates.append((-absd, one_class_per_genus(-absd)))
-    candidates.sort(key=lambda t: (not t[1], -t[0]))
-    matches = [D for D, _ in candidates if _class_polynomial_default(D).poly == g]
-    if not matches:
-        return None
-    if len(matches) > 1:
-        _log.warning(
-            "class polynomial matched several discriminants %s; keeping %d",
-            matches,
-            max(matches),
-        )
-    return max(matches)  # smallest |D| on (theoretically impossible) ties
+        candidates.append(-absd)
+    candidates.sort(key=lambda D: (not one_class_per_genus(D), -D))
+    for D in candidates:
+        if _class_polynomial_default(D).poly == g:
+            return D
+    return None
 
 
 def _constant_size_plausible(log_c0, D: int, forms: tuple) -> bool:

@@ -109,9 +109,6 @@ class CMTableRow:
     anomaly: Optional[str]
     as_printed: bool  # verbatim transcription of an inconsistent cell
 
-    def has_rational_j(self) -> bool:
-        return any(isinstance(v, Fraction) for v in self.j_values)
-
 
 def _parse_cm_value(obj: dict) -> CMValue:
     kind = obj["kind"]

@@ -23,19 +23,17 @@ from ._backend import search_sextic
 from .algnum import IntPolynomial, _trim, _zadd, _zeval, _zmul, _zsub, discriminant
 from .errors import InputError
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class SexticCurve:
     """y**2 = x**6 + a5 x**5 + a4 x**4 + a3 x**3 + a2 x**2 + a1 x + a0."""
 
-    a0: Rational
-    a1: Rational
-    a2: Rational
-    a3: Rational
-    a4: Rational
-    a5: Rational
+    a0: Fraction
+    a1: Fraction
+    a2: Fraction
+    a3: Fraction
+    a4: Fraction
+    a5: Fraction
 
     def __post_init__(self):
         for name in ("a0", "a1", "a2", "a3", "a4", "a5"):
@@ -54,7 +52,7 @@ class SexticCurve:
         """[a0, ..., a5, 1], constant term first."""
         return [self.a0, self.a1, self.a2, self.a3, self.a4, self.a5, Fraction(1)]
 
-    def f_at(self, x) -> Rational:
+    def f_at(self, x) -> Fraction:
         return _zeval(self.f_coeffs(), Fraction(x))
 
     def point(self, x, y) -> "CurvePoint":
@@ -82,8 +80,8 @@ class SexticCurve:
 @dataclass(frozen=True)
 class CurvePoint:
     kind: str  # "affine" | "infinity_plus" | "infinity_minus"
-    x: Optional[Rational] = None
-    y: Optional[Rational] = None
+    x: Optional[Fraction] = None
+    y: Optional[Fraction] = None
 
     def __post_init__(self):
         if self.kind not in ("affine", "infinity_plus", "infinity_minus"):
@@ -159,7 +157,7 @@ class XYPoly:
         p = _zadd(p, [Fraction(c)])
         return XYPoly(tuple(p), self.q)
 
-    def evaluate(self, x, y) -> Rational:
+    def evaluate(self, x, y) -> Fraction:
         return _zeval(self.p, x) + _zeval(self.q, x) * y
 
     def evaluate_series(self, xs, ys):
@@ -193,8 +191,8 @@ class FGenerators:
     f3: XYPoly
     f4: XYPoly
     f5: XYPoly
-    k4: Rational  # f4 = x*f3 + k4
-    k5: Rational  # f5 = x*f4 + k5
+    k4: Fraction  # f4 = x*f3 + k4
+    k5: Fraction  # f5 = x*f4 + k5
 
 
 def rr_generators(curve: SexticCurve) -> FGenerators:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
+from .algnum import squarefree_kernel
 from .errors import (
     DatasetError,
     InconsistentDatasetError,
@@ -43,17 +43,6 @@ __all__ = [
 _MIN_DERIVE_PRECISION = 16  # 6 solved coefficients + 10 residual terms
 
 
-def _is_squarefree(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        f += 2
-    return True
-
-
 @dataclass(frozen=True)
 class ModularDataset:
     """Echelon basis pair of a level: h1 = q + 0 q^2 + ..., h2 = q^2 + ...
@@ -68,7 +57,7 @@ class ModularDataset:
     h2: tuple
 
     def __post_init__(self):
-        if self.level < 1 or not _is_squarefree(self.level):
+        if self.level < 1 or squarefree_kernel(self.level)[1] != 1:
             raise DatasetError(f"level must be square-free, got {self.level}")
         if len(self.h1) != self.precision - 1 or len(self.h2) != self.precision - 2:
             raise DatasetError("coefficient lists do not match the precision")

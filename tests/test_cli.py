@@ -11,7 +11,7 @@ from mpmath import iv
 import qstar.cli
 import qstar.cm
 from qstar.cm import class_polynomial
-from qstar.errors import PrecisionCapError
+from qstar.errors import FactorizationError, PrecisionCapError
 from qstar.fixtures import load_table
 from qstar.modular import dataset_to_json, load_dataset
 
@@ -366,6 +366,17 @@ def test_usage_error_exit_code():
 def test_help_exits_zero():
     assert run_cli("--help").returncode == EXIT_OK
     assert run_cli("pipeline", "--help").returncode == EXIT_OK
+
+
+def test_factoring_budget_exit_code(monkeypatch, capsys):
+    def exhausted(poly):
+        raise FactorizationError("integer factoring budget exhausted")
+
+    monkeypatch.setattr(qstar.cli, "factor_rational", exhausted)
+    assert qstar.cli.main(["pipeline", "67", "--point", "inf-"]) == EXIT_PRECISION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "precision error" in err and "budget" in err
 
 
 def test_precision_cap_raises_and_restores_iv_prec(monkeypatch):

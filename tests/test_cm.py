@@ -4,13 +4,13 @@ from math import gcd
 
 import pytest
 
+import qstar.cm
 from qstar.algnum import IntPolynomial
 from qstar.cm import (
     ClassPolynomial,
     QuadForm,
     class_number,
     class_polynomial,
-    genus_character_vector,
     identify_cm,
     one_class_per_genus,
     reduced_forms,
@@ -109,23 +109,7 @@ def test_reduced_forms_match_independent_rescan():
             assert f.discriminant == D
 
 
-# -- genus characters ---------------------------------------------------
-
-
-def test_principal_form_characters_trivial():
-    for D in valid_discriminants(400):
-        principal = reduced_forms(D)[0]
-        assert principal.a == 1
-        assert all(v == 1 for v in genus_character_vector(principal)), D
-
-
-def test_genus_fibers_have_equal_size():
-    # every genus is a coset of the principal genus, hence the same size
-    for D in valid_discriminants(400):
-        counts = Counter(
-            genus_character_vector(f) for f in reduced_forms(D)
-        ).values()
-        assert len(set(counts)) == 1, D
+# -- one class per genus -----------------------------------------------
 
 
 def test_one_class_per_genus_examples():
@@ -134,14 +118,38 @@ def test_one_class_per_genus_examples():
     assert one_class_per_genus(-23) is False
 
 
-def test_one_class_per_genus_matches_ambiguous_form_oracle():
-    # exponent <= 2 iff every class is its own inverse, and a reduced form
-    # is its class inverse exactly when b = 0, b = a, or a = c
+def odd_prime_count(n):
+    """The number of distinct odd primes dividing n > 0, by trial division."""
+    while n % 2 == 0:
+        n //= 2
+    r, p = 0, 3
+    while p * p <= n:
+        if n % p == 0:
+            r += 1
+            while n % p == 0:
+                n //= p
+        p += 2
+    return r + (n > 1)
+
+
+def genus_count_exponent(D):
+    """mu, with 2**(mu - 1) genera of forms of discriminant D (Cox, Thm 3.15)."""
+    r = odd_prime_count(-D)
+    if D % 4 == 1:
+        return r
+    n = -D // 4
+    if n % 4 == 3:
+        return r
+    if n % 8 == 0:
+        return r + 2
+    return r + 1
+
+
+def test_one_class_per_genus_matches_genus_count_oracle():
+    # exponent <= 2 iff each genus holds one class, i.e. h(D) = 2**(mu - 1)
     for D in valid_discriminants(2000):
-        by_ambiguous = all(
-            f.b == 0 or f.b == f.a or f.a == f.c for f in reduced_forms(D)
-        )
-        assert one_class_per_genus(D) == by_ambiguous, D
+        expected = class_number(D) == 2 ** (genus_count_exponent(D) - 1)
+        assert one_class_per_genus(D) == expected, D
 
 
 # every CM discriminant reported by the bundled result tables (one cell
@@ -292,10 +300,25 @@ def test_identify_cm_rejects_invalid():
 
 
 def test_identify_cm_roundtrip():
-    for D in valid_discriminants(600):
-        if class_number(D) > 4:
+    for D in valid_discriminants(400):
+        if class_number(D) > 16:
             continue
         assert identify_cm(class_polynomial(D).poly) == D, D
+
+
+def test_identify_cm_stops_at_the_match(monkeypatch):
+    built = []
+
+    def spy(D, scale_bits=None):
+        built.append(D)
+        return class_polynomial(D, scale_bits)
+
+    g = class_polynomial(-595).poly
+    monkeypatch.setattr(qstar.cm, "class_polynomial", spy)
+    qstar.cm._class_polynomial_default.cache_clear()
+    assert identify_cm(g) == -595
+    assert built[-1] == -595
+    assert all(D >= -595 for D in built), built
 
 
 # -- bundled CM table ----------------------------------------------------

@@ -24,7 +24,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from qstar.algnum import squarefree_kernel  # noqa: E402
+from qstar.algnum import IntPolynomial, discriminant, squarefree_kernel  # noqa: E402
 from qstar.fixtures import fixture_curve  # noqa: E402
 from qstar.modular import dataset_to_json, echelonize, validate_dataset  # noqa: E402
 from qstar.series import LaurentSeries  # noqa: E402
@@ -166,37 +166,6 @@ def norm_pair_mod_p2(fc, p):
     return t, s
 
 
-def disc_nonzero_mod_p(fc, p):
-    """Whether the sextic has good reduction at odd p: Res(f, f') != 0 mod p."""
-    f = [1] + [int(c) % p for c in reversed(fc[:-1])]  # degree 6, leading first
-    g = [(i * c) % p for i, c in zip(range(6, 0, -1), f[:-1])]  # f', degree 5
-    n = 11
-    m = [[0] * n for _ in range(n)]
-    for i in range(5):
-        for j, c in enumerate(f):
-            m[i][i + j] = c
-    for i in range(6):
-        for j, c in enumerate(g):
-            m[5 + i][i + j] = c
-    # determinant over F_p
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] % p), None)
-        if piv is None:
-            return False
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for r in range(col + 1, n):
-            fac = m[r][col] * inv % p
-            if fac:
-                for cc in range(col, n):
-                    m[r][cc] = (m[r][cc] - fac * m[col][cc]) % p
-    return det % p != 0
-
-
 # ---------------------------------------------------------------------------
 # residual tests against the fixture curve
 
@@ -271,13 +240,14 @@ def hasse_candidates(p, d, positive_b=False):
     return out
 
 
-def detect_field(fc, level):
+def detect_field(fc, level, disc):
     """Squarefree d with the eigenvalues in Q(sqrt(d)), from the first odd
-    good prime whose conjugate pair is distinct.  Returns (d, {p: (t, s)})."""
+    good prime (p not dividing the level or disc(f)) whose conjugate pair is
+    distinct.  Returns (d, {p: (t, s)})."""
     pinned = {}
     p = 3
     while True:
-        if level % p and disc_nonzero_mod_p(fc, p):
+        if level % p and disc % p:
             t, s = norm_pair_mod_p2(fc, p)
             pinned[p] = (t, s)
             dd = t * t - 4 * s
@@ -309,7 +279,8 @@ def make_dataset(level, precision, verbose=True):
         if verbose:
             print(f"  [{level}] {msg}", flush=True)
 
-    d, pinned = detect_field(fc, level)
+    disc = discriminant(IntPolynomial(fc))
+    d, pinned = detect_field(fc, level, disc)
     log(f"eigenvalue field Q(sqrt({d}))")
 
     # --- joint stage: primes 2,3,5,7 at precision 11 -----------------------
@@ -322,7 +293,7 @@ def make_dataset(level, precision, verbose=True):
                 c for c in hasse_candidates(2, d) if c.b == 0
             ]
         else:
-            if not disc_nonzero_mod_p(fc, p):
+            if disc % p == 0:
                 raise NotImplementedError(f"odd prime {p} | disc but not level")
             t, s = pinned.get(p) or norm_pair_mod_p2(fc, p)
             small_sets[p] = counted_candidates(p, t, s, d)
@@ -358,7 +329,7 @@ def make_dataset(level, precision, verbose=True):
         if level % p == 0:
             prime_table[p] = Quad(-1)
             continue
-        if not disc_nonzero_mod_p(fc, p):
+        if disc % p == 0:
             raise NotImplementedError(f"odd prime {p} | disc but not level")
         t = trace_mod_p(fc, p)
         half_t = Fraction(t, 2)
