@@ -45,7 +45,7 @@ __all__ = [
 # integer utilities: primality, factoring, squarefree kernels
 
 
-def _small_primes(bound=100_000):
+def _small_primes(bound):
     sieve = bytearray([1]) * (bound + 1)
     sieve[0:2] = b"\x00\x00"
     for i in range(2, isqrt(bound) + 1):
@@ -54,14 +54,35 @@ def _small_primes(bound=100_000):
     return [i for i in range(bound + 1) if sieve[i]]
 
 
-_SMALL_PRIMES: Optional[list] = None
+# trial division and the choice of a modular prime stop at this bound
+_PRIME_BOUND = 100_000
+_SMALL_PRIMES = [2, 3, 5, 7]  # every prime <= _SIEVED
+_SIEVED = 10
 
 
-def _primes():
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES is None:
-        _SMALL_PRIMES = _small_primes()
+def _primes_upto(bound: int) -> list:
+    """Every prime <= min(bound, _PRIME_BOUND), and perhaps some beyond.
+
+    The sieve is rerun, at least doubling its reach, only when a caller
+    needs more primes than an earlier call did.
+    """
+    global _SMALL_PRIMES, _SIEVED
+    bound = min(bound, _PRIME_BOUND)
+    if bound > _SIEVED:
+        _SIEVED = min(max(bound, 2 * _SIEVED), _PRIME_BOUND)
+        _SMALL_PRIMES = _small_primes(_SIEVED)
     return _SMALL_PRIMES
+
+
+def _iter_primes():
+    """The primes <= _PRIME_BOUND in order, sieved as the caller reaches them."""
+    i, bound = 0, 64
+    while True:
+        primes = _primes_upto(bound)
+        yield from primes[i:]
+        if bound >= _PRIME_BOUND:
+            return
+        i, bound = len(primes), 2 * bound
 
 
 def is_probable_prime(n: int) -> bool:
@@ -165,7 +186,7 @@ def squarefree_kernel(n: int, budget: int = 6_000_000) -> tuple:
     sign = -1 if n < 0 else 1
     n = abs(n)
     d, e = 1, 1
-    for p in _primes():
+    for p in _primes_upto(isqrt(n)):
         if p * p > n:
             break
         if n % p == 0:
@@ -638,7 +659,7 @@ def _mignotte_bound(f) -> int:
 def _choose_prime(f) -> int:
     """Smallest p > 16 with p not dividing lc and f squarefree mod p."""
     lead = f[-1]
-    for p in _primes():
+    for p in _iter_primes():
         if p <= 16 or lead % p == 0:
             continue
         fp = _mod_poly(f, p)

@@ -299,6 +299,16 @@ def test_search_reproduces_complete_levels():
             assert set(fx.points) <= affine, lvl
 
 
+def test_search_height_1000_finds_exactly_the_complete_point_sets():
+    """Where the table's affine list is exhaustive, a height-1000 search adds nothing."""
+    complete = [fx for _, fx in sorted(load_table().items()) if fx.points_complete]
+    assert len(complete) == 19
+    for fx in complete:
+        found = search_points(fx.curve, 1000)
+        affine = {p for p in found if p.is_affine}
+        assert affine == set(fx.points), fx.level
+
+
 def test_fixture_unknown_level():
     with pytest.raises(InputError):
         fixture_curve(68)
