@@ -31,9 +31,7 @@ __all__ = [
     "MultiQuadElement",
     "factor_rational",
     "quadratic_surd_roots",
-    "v4_quartic_subfields",
     "identify_multiquadratic",
-    "discriminant",
     "squarefree_kernel",
     "is_probable_prime",
     "field_label",
@@ -273,6 +271,8 @@ def _content(a) -> int:
     g = 0
     for x in a:
         g = gcd(g, x)
+        if g == 1:
+            return 1
     return g or 1
 
 
@@ -407,66 +407,6 @@ def poly_str(p: IntPolynomial, var: str = "x") -> str:
         else:
             parts.append(("- " if c < 0 else "+ ") + term)
     return " ".join(parts) if parts else "0"
-
-
-# ---------------------------------------------------------------------------
-# resultant / discriminant (Bareiss fraction-free elimination)
-
-
-def _bareiss_det(m):
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _resultant(a, b) -> int:
-    n, m = len(a) - 1, len(b) - 1
-    size = n + m
-    if size <= 0:
-        return 1
-    rows = []
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = c
-        rows.append(row)
-    return _bareiss_det(rows)
-
-
-def discriminant(p: IntPolynomial) -> int:
-    """disc(p) = (-1)^(n(n-1)/2) Res(p, p') / lc(p), exact."""
-    if p.degree < 1:
-        raise InputError("discriminant needs degree >= 1")
-    if p.degree == 1:
-        return 1
-    a = list(p.coeffs)
-    res = _resultant(a, _zderiv(a))
-    n = p.degree
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    q, r = divmod(sign * res, p.leading)
-    assert r == 0
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -656,17 +596,21 @@ def _mignotte_bound(f) -> int:
     return (1 << n) * norm2
 
 
+def _squarefree_mod_p(f, p) -> bool:
+    """Whether f mod p is coprime to its derivative.
+
+    For f whose leading coefficient p does not divide, this holds exactly
+    when p does not divide disc(f).
+    """
+    fp = _mod_poly(f, p)
+    return len(_pm_gcd(fp, _mod_poly(_zderiv(fp), p), p)) == 1
+
+
 def _choose_prime(f) -> int:
     """Smallest p > 16 with p not dividing lc and f squarefree mod p."""
     lead = f[-1]
     for p in _iter_primes():
-        if p <= 16 or lead % p == 0:
-            continue
-        fp = _mod_poly(f, p)
-        deriv = _mod_poly(_zderiv(fp), p)
-        if not deriv:
-            continue
-        if len(_pm_gcd(fp, deriv, p)) == 1:
+        if p > 16 and lead % p and _squarefree_mod_p(f, p):
             return p
     raise FactorizationError("no usable prime below the sieve bound")  # pragma: no cover
 
@@ -1232,47 +1176,3 @@ def _attempt_identify(g, k, prec):
     if not _certified(theta, g):
         return None, ("uncertified", tuple(gens), tuple(coords))
     return _canonical_flips(theta), ()
-
-
-# ---------------------------------------------------------------------------
-# biquadratic quartic detection via the resolvent cubic
-
-
-def v4_quartic_subfields(q: IntPolynomial) -> Optional[tuple]:
-    """Generators (d1, d2) of the quadratic subfields of a Klein-four quartic.
-
-    An irreducible quartic has Galois group (Z/2)^2 exactly when its resolvent
-    cubic splits completely over Q; the quadratic subfields are then read off
-    the rational resolvent roots through the discriminants (u-u')^2 and
-    (v-v')^2 of the induced conjugate-quadratic splittings. Returns None when
-    not biquadratic. Generator order: smallest |d| first, positive on ties.
-    """
-    if q.degree != 4:
-        raise InputError("v4_quartic_subfields needs degree exactly 4")
-    monic, _ = _monicize(list(q.coeffs))
-    s_c, r_c, q_c, p_c, _one = monic
-    resolvent = IntPolynomial(
-        (
-            -(p_c * p_c * s_c - 4 * q_c * s_c + r_c * r_c),
-            p_c * r_c - 4 * s_c,
-            -q_c,
-            1,
-        )
-    )
-    roots = []
-    for fac, mult in factor_rational(resolvent):
-        if fac.degree != 1:
-            return None
-        a0, a1 = fac.coeffs
-        if abs(a1) != 1:
-            return None
-        roots.extend([-a0 * a1] * mult)
-    radicands = set()
-    for theta in roots:
-        for delta in (p_c * p_c - 4 * (q_c - theta), theta * theta - 4 * s_c):
-            if delta != 0 and not _is_square(delta):
-                radicands.add(squarefree_kernel(delta)[0])
-    gens = _greedy_generators(radicands, 2)
-    if gens is None:
-        return None
-    return gens[0], gens[1]

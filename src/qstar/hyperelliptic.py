@@ -20,7 +20,7 @@ from math import lcm
 from typing import Optional
 
 from ._backend import search_sextic
-from .algnum import IntPolynomial, _trim, _zadd, _zeval, _zmul, _zsub, discriminant
+from .algnum import _trim, _zadd, _zderiv, _zeval, _zgcd_poly, _zmul, _zsub
 from .errors import InputError
 
 
@@ -40,7 +40,8 @@ class SexticCurve:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         f = self.f_coeffs()
         den = lcm(*(c.denominator for c in f))
-        if discriminant(IntPolynomial(tuple(c * den for c in f))) == 0:
+        f = [int(c * den) for c in f]
+        if len(_zgcd_poly(f, _zderiv(f))) > 1:
             raise InputError("sextic has a repeated root; the curve is singular")
 
     @classmethod

@@ -26,7 +26,12 @@ from .hyperelliptic import (
     monomial_for_order,
     rr_generators,
 )
-from .modular import ModularDataset, coordinate_series, load_dataset
+from .modular import (
+    ModularDataset,
+    coordinate_series,
+    load_dataset,
+    relation_residual,
+)
 from .fixtures import fixture_curve
 from .series import LaurentSeries, j_expansion
 
@@ -41,7 +46,6 @@ __all__ = [
     "j_polynomial_at_point",
     "required_precision",
     "expression_to_json",
-    "expression_from_json",
 ]
 
 PRECISION_MARGIN = 12  # dataset coefficients needed beyond the deepest pole
@@ -151,11 +155,7 @@ def f_series(curve: SexticCurve, dataset: ModularDataset):
             f"f-series need dataset precision >= 16, got {dataset.precision}"
         )
     x, y = coordinate_series(dataset)
-    residual = y * y
-    for i, c in enumerate(curve.f_coeffs()):
-        if c:
-            residual = residual - (x**i).scale(c)
-    if not residual.is_zero():
+    if not relation_residual(x, y, curve.f_coeffs()).is_zero():
         raise InputError(
             f"curve {curve} is not satisfied by the level-{dataset.level} "
             "dataset coordinates"
@@ -308,15 +308,3 @@ def expression_to_json(e: FExpression) -> dict:
             {"k": mono.k, "gen": mono.gen, "coeff": str(c)} for mono, c in e.terms
         ],
     }
-
-
-def expression_from_json(obj: dict) -> FExpression:
-    try:
-        constant = Fraction(obj["constant"])
-        terms = tuple(
-            (Monomial(t["gen"], int(t["k"])), Fraction(t["coeff"]))
-            for t in obj["terms"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed expression JSON: {exc}") from exc
-    return FExpression(constant=constant, terms=terms)

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from math import lcm
 from typing import Optional
 
 from .algnum import squarefree_kernel
@@ -30,8 +31,11 @@ from .series import LaurentSeries
 __all__ = [
     "ModularDataset",
     "ValidationReport",
+    "echelon_series",
     "echelonize",
+    "coordinates",
     "coordinate_series",
+    "relation_residual",
     "derive_equation",
     "validate_dataset",
     "dataset_from_json",
@@ -86,12 +90,16 @@ class ModularDataset:
 # echelon form
 
 
-def echelonize(g1: LaurentSeries, g2: LaurentSeries, *, level: int) -> ModularDataset:
-    """The unique basis (q + 0 q^2 + ..., q^2 + ...) of the span of g1, g2.
+def _series_from_fractions(val: int, coeffs: list) -> LaurentSeries:
+    den = lcm(*(c.denominator for c in coeffs))
+    return LaurentSeries(val, [int(c * den) for c in coeffs], den)
 
-    Inputs may have rational coefficients; the echelon result must come out
-    integral.  Raises when the span lacks a valuation-1 or valuation-2
-    vector (in particular for dependent inputs).
+
+def echelon_series(g1: LaurentSeries, g2: LaurentSeries) -> tuple:
+    """The basis (q + 0 q^2 + ..., q^2 + ...) of the span of g1, g2.
+
+    Coefficients stay rational.  Raises when the span lacks a valuation-1
+    or valuation-2 vector (in particular for dependent inputs).
     """
     prec = min(g1.prec, g2.prec)
     if min(g1.val, g2.val) < 1:
@@ -113,17 +121,19 @@ def echelonize(g1: LaurentSeries, g2: LaurentSeries, *, level: int) -> ModularDa
         raise InputError("span contains no vector of valuation 2")
     r2 = [c / r2[1] for c in r2]
     r1 = [c - r1[1] * d for c, d in zip(r1, r2)]
-    for c in r1 + r2:
-        if c.denominator != 1:
-            raise NonIntegralCoefficientError(
-                "echelon basis is not integral; inputs do not span a "
-                "dataset over the integers"
-            )
+    return _series_from_fractions(1, r1), _series_from_fractions(2, r2[1:])
+
+
+def echelonize(g1: LaurentSeries, g2: LaurentSeries, *, level: int) -> ModularDataset:
+    """The dataset of ``echelon_series(g1, g2)``, which must be integral."""
+    h1, h2 = echelon_series(g1, g2)
+    if h1.den != 1 or h2.den != 1:
+        raise NonIntegralCoefficientError(
+            "echelon basis is not integral; inputs do not span a "
+            "dataset over the integers"
+        )
     return ModularDataset(
-        level=level,
-        precision=prec,
-        h1=tuple(int(c) for c in r1),
-        h2=tuple(int(c) for c in r2[1:]),
+        level=level, precision=h1.prec, h1=tuple(h1.nums), h2=tuple(h2.nums)
     )
 
 
@@ -131,8 +141,15 @@ def echelonize(g1: LaurentSeries, g2: LaurentSeries, *, level: int) -> ModularDa
 # coordinates and the sextic
 
 
+def coordinates(h1: LaurentSeries, h2: LaurentSeries) -> tuple:
+    """(x, y) = (h1/h2, -q (dx/dq) / h2) for any basis pair h1, h2."""
+    inv = h2.invert()
+    x = h1 * inv
+    return x, -(x.q_derivative()) * inv
+
+
 def coordinate_series(data: ModularDataset):
-    """The model functions (x, y) = (h1/h2, -q (dx/dq) / h2) as series.
+    """The model functions (x, y) of the dataset's basis pair as series.
 
     x has valuation -1 and y valuation -3, both with leading coefficient 1.
     """
@@ -140,12 +157,27 @@ def coordinate_series(data: ModularDataset):
         raise InsufficientPrecisionError(
             f"coordinate series need precision >= 10, dataset has {data.precision}"
         )
-    h2 = data.h2_series()
-    x = data.h1_series() / h2
-    y = -(x.q_derivative()) / h2
+    x, y = coordinates(data.h1_series(), data.h2_series())
     assert x.val == -1 and x.coeff(-1) == 1
     assert y.val == -3 and y.coeff(-3) == 1
     return x, y
+
+
+def _x_powers(x: LaurentSeries, n: int) -> list:
+    """[1, x, ..., x^n]."""
+    out = [x**0]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
+def relation_residual(x: LaurentSeries, y: LaurentSeries, coeffs) -> LaurentSeries:
+    """y^2 - sum_i coeffs[i] x^i (constant term first) to the known precision."""
+    residual = y * y
+    for c, power in zip(coeffs, _x_powers(x, len(coeffs) - 1)):
+        if c:
+            residual = residual - power.scale(c)
+    return residual
 
 
 def derive_equation(data: ModularDataset) -> SexticCurve:
@@ -161,13 +193,14 @@ def derive_equation(data: ModularDataset) -> SexticCurve:
             f"dataset has {data.precision}"
         )
     x, y = coordinate_series(data)
-    residual = y * y - x**6
+    powers = _x_powers(x, 6)
+    residual = y * y - powers[6]
     found = []
     for i in range(5, -1, -1):
         c = residual.coeff(-i)
         found.append(c)
         if c:
-            residual = residual - (x**i).scale(c)
+            residual = residual - powers[i].scale(c)
     for k in range(1, residual.prec):
         if residual.coeff(k):
             raise InconsistentDatasetError(

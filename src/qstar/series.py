@@ -18,19 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from ._backend import convolve
+from .algnum import _content
 from .errors import SeriesPrecisionError
-
-
-def _content(nums) -> int:
-    g = 0
-    for n in nums:
-        g = gcd(g, n)
-        if g == 1:
-            return 1
-    return g
 
 
 class LaurentSeries:
@@ -225,32 +217,29 @@ class LaurentSeries:
         """Two-sided inverse; requires a nonzero leading coefficient."""
         if self.is_zero():
             raise ZeroDivisionError("cannot invert a series that is zero to precision")
+        # b = 1/a for a = sum a_j q^j with a_0 = L: the c_k = L**(k+1) * b_k
+        # are integers, c_0 = 1 and c_k = -sum_{j>=1} a_j L**(j-1) c_{k-j}.
         n = len(self.nums)
-        a = self.nums
-        lead = a[0]
-        if lead in (1, -1):
-            # integral fast path: b_k = -lead * sum_{j>=1} a_j b_{k-j}
-            b = [0] * n
-            b[0] = lead
-            for k in range(1, n):
-                s = 0
-                for j in range(1, k + 1):
-                    if a[j]:
-                        s += a[j] * b[k - j]
-                b[k] = -lead * s
-            inv_nums = [x * self.den for x in b]
-            return LaurentSeries(-self.val, inv_nums, 1)
-        b = [Fraction(0)] * n
-        b[0] = Fraction(1, lead)
+        lead = self.nums[0]
+        w = [0] * n
+        power = 1
+        for j in range(1, n):
+            w[j] = self.nums[j] * power
+            power *= lead
+        c = [0] * n
+        c[0] = 1
         for k in range(1, n):
-            s = Fraction(0)
+            s = 0
             for j in range(1, k + 1):
-                if a[j]:
-                    s += a[j] * b[k - j]
-            b[k] = -s / lead
-        den = lcm(*(x.denominator for x in b))
-        nums = [int(x * den) * self.den for x in b]
-        return LaurentSeries(-self.val, nums, den)
+                if w[j]:
+                    s += w[j] * c[k - j]
+            c[k] = -s
+        # b_k = c_k L**(n-1-k) / L**n, times den from a = nums / den
+        scale = self.den
+        for k in range(n - 1, -1, -1):
+            c[k] *= scale
+            scale *= lead
+        return LaurentSeries(-self.val, c, lead**n)
 
     def __truediv__(self, other) -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):

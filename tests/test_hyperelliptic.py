@@ -62,6 +62,33 @@ def test_non_squarefree_rejected():
     SexticCurve.from_coeffs([Fraction(1, 2), 0, 0, 0, 0, 0])
 
 
+def test_singular_sextics_are_exactly_those_with_zero_discriminant():
+    import sympy
+
+    rng = random.Random(6161)
+    x = sympy.symbols("x")
+    singular = 0
+    for _ in range(150):
+        # half the draws get a forced square factor (x - r)^2
+        r = rng.randint(-3, 3)
+        rest = [rng.randint(-4, 4) for _ in range(4)] + [1]
+        square = [r * r, -2 * r, 1]
+        coeffs = [rng.randint(-6, 6) for _ in range(6)] + [1]
+        if rng.random() < 0.5:
+            coeffs = [
+                sum(square[i] * rest[k - i] for i in range(3) if 0 <= k - i < 5)
+                for k in range(7)
+            ]
+        disc = sympy.discriminant(sympy.Poly(list(reversed(coeffs)), x))
+        if disc == 0:
+            singular += 1
+            with pytest.raises(InputError):
+                SexticCurve.from_coeffs(coeffs[:6])
+        else:
+            SexticCurve.from_coeffs(coeffs[:6])
+    assert 50 < singular < 100
+
+
 def test_point_validation():
     c = fixture_curve(67)
     p = c.point(1, 1)

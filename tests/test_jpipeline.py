@@ -16,7 +16,6 @@ from qstar.jpipeline import (
     FExpression,
     LevelContext,
     PRECISION_MARGIN,
-    expression_from_json,
     expression_to_json,
     express_in_basis,
     evaluate_expression,
@@ -343,8 +342,10 @@ def test_expression_json_round_trip():
     ctx = _ctx(67)
     for i in (1, 2):
         e = j_expression(ctx, i)
-        blob = json.dumps(expression_to_json(e))
-        assert expression_from_json(json.loads(blob)) == e
+        doc = json.loads(json.dumps(expression_to_json(e)))
+        assert F(doc["constant"]) == e.constant
+        terms = [(Monomial(t["gen"], t["k"]), F(t["coeff"])) for t in doc["terms"]]
+        assert terms == list(e.terms)
 
 
 def test_expression_json_strings_are_exact():
@@ -355,7 +356,6 @@ def test_expression_json_strings_are_exact():
     doc = expression_to_json(e)
     assert doc["constant"] == "1/3"
     assert doc["terms"][0] == {"gen": "f4", "k": 2, "coeff": "-7/2"}
-    assert expression_from_json(doc) == e
 
 
 def test_expression_validation():

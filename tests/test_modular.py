@@ -19,11 +19,14 @@ from qstar.modular import (
     ModularDataset,
     bundled_dataset_levels,
     coordinate_series,
+    coordinates,
     dataset_from_json,
     dataset_to_json,
     derive_equation,
+    echelon_series,
     echelonize,
     load_dataset,
+    relation_residual,
     validate_dataset,
 )
 from qstar.series import LaurentSeries
@@ -202,6 +205,28 @@ def test_echelonize_error_paths():
     s2 = LaurentSeries(2, [1, 1, 0, 0, 0, 0, 0, 0, 0])  # q^2 + q^3
     with pytest.raises(NonIntegralCoefficientError):
         echelonize(s1, s2, level=67)
+
+
+def test_echelon_series_keeps_rational_coefficients():
+    s1 = LaurentSeries(1, [2, 1, 0, 4], 2)  # q + q^2/2 + 2q^4
+    s2 = LaurentSeries(2, [3, 3, 0])  # 3q^2 + 3q^3
+    h1, h2 = echelon_series(s2, s1)
+    assert h1.coefficients(1, 5) == [1, 0, F(-1, 2), 2]
+    assert h2.coefficients(1, 5) == [0, 1, 1, 0]
+    assert (h1.prec, h2.prec) == (5, 5)
+    with pytest.raises(InputError):
+        echelon_series(s1, s1.scale(F(2, 3)))
+
+
+def test_relation_residual_of_the_dataset_coordinates():
+    data = load_dataset(73).truncate(30)
+    x, y = coordinates(data.h1_series(), data.h2_series())
+    assert (x, y) == coordinate_series(data)
+    f = fixture_curve(73).f_coeffs()
+    assert relation_residual(x, y, f).is_zero()
+    # y^2 - x^6 keeps exactly the lower terms of f(x)
+    wrong = relation_residual(x, y, [0] * 6 + [1])
+    assert wrong.val == -5 and wrong.coeff(-5) == f[5]
 
 
 # --- validation reports --------------------------------------------------------

@@ -80,7 +80,7 @@ def test_invert_two_sided():
     for _ in range(60):
         a = random_series(rng, zero_ok=False)
         inv = a.invert()
-        assert inv.val == -a.val
+        assert inv.val == -a.val and inv.prec == a.prec - 2 * a.val
         left = a * inv
         right = inv * a
         one = LaurentSeries.from_fraction(1, left.prec)

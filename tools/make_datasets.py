@@ -5,9 +5,11 @@ For each target level the weight-2 eigenvalue data is reconstructed from
 point counts of the fixture sextic over F_p (trace t_p) plus, for the
 leftover square-root parts, exact matching of the series relation
 y^2 = f(x): each candidate value changes a known early residual
-coefficient affinely, so it can be solved for and then confirmed.  The
-echelonized basis pair goes through the library's own `echelonize` and
-`validate_dataset` before being written to src/qstar/data/datasets/.
+coefficient affinely, so it can be solved for and then confirmed.  Every
+residual is built with the library's own echelon form, coordinates and
+relation (`qstar.modular`), and the final basis pair goes through
+`echelonize` and `validate_dataset` before being written to
+src/qstar/data/datasets/.
 
 Usage: python3 tools/make_datasets.py [--levels 67,73,85,107] [--out DIR]
 """
@@ -24,9 +26,21 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from qstar.algnum import IntPolynomial, discriminant, squarefree_kernel  # noqa: E402
+from qstar.algnum import (  # noqa: E402
+    _squarefree_mod_p,
+    is_probable_prime,
+    squarefree_kernel,
+)
+from qstar.errors import InputError  # noqa: E402
 from qstar.fixtures import fixture_curve  # noqa: E402
-from qstar.modular import dataset_to_json, echelonize, validate_dataset  # noqa: E402
+from qstar.modular import (  # noqa: E402
+    coordinates,
+    dataset_to_json,
+    echelon_series,
+    echelonize,
+    relation_residual,
+    validate_dataset,
+)
 from qstar.series import LaurentSeries  # noqa: E402
 
 # level -> published precision (sigma(N) + 16, enough for the j pipeline)
@@ -170,44 +184,11 @@ def norm_pair_mod_p2(fc, p):
 # residual tests against the fixture curve
 
 
-def echelon_rows(g1, g2):
-    """(h1, h2) echelon series allowing rational coefficients (probe builds
-    may be non-integral; the library echelonize is used only on final data)."""
-    prec = min(g1.prec, g2.prec)
-    rows = [[g.coeff(k) for k in range(1, prec)] for g in (g1, g2)]
-    if rows[0][0] == 0:
-        rows.reverse()
-    r1, r2 = rows
-    assert r1[0] != 0
-    r1 = [c / r1[0] for c in r1]
-    r2 = [c - r2[0] * x for c, x in zip(r2, r1)]
-    assert r2[1] != 0, "no valuation-2 vector in the span"
-    r2 = [c / r2[1] for c in r2]
-    r1 = [c - r1[1] * x for c, x in zip(r1, r2)]
-
-    def mk(val, fr):
-        den = math.lcm(*(c.denominator for c in fr)) if fr else 1
-        return LaurentSeries(val, [int(c * den) for c in fr], den)
-
-    return mk(1, r1), mk(2, r2[1:])
-
-
-def relation_residual(h1, h2, fc):
-    """y^2 - f(x) for x = h1/h2, y = -q(dx/dq)/h2, as far as precision allows."""
-    x = h1 / h2
-    y = -(x.q_derivative()) / h2
-    total = y * y
-    for i, c in enumerate(fc):
-        if c:
-            total = total - (x**i).scale(c)
-    return total
-
-
 def build_residual(prime_table, level, d, fc, prec):
     a = hecke_coefficients(prec, prime_table, level, d)
     tr, df = series_pair(a, prec)
-    h1, h2 = echelon_rows(tr, df)
-    return relation_residual(h1, h2, fc)
+    x, y = coordinates(*echelon_series(tr, df))
+    return relation_residual(x, y, fc)
 
 
 def residual_prefix(res, hi):
@@ -240,23 +221,28 @@ def hasse_candidates(p, d, positive_b=False):
     return out
 
 
-def detect_field(fc, level, disc):
+def primes_from(start, stop=None):
+    """The primes p with start <= p < stop (no upper end when stop is None)."""
+    p = start
+    while stop is None or p < stop:
+        if is_probable_prime(p):
+            yield p
+        p += 1
+
+
+def detect_field(fc, level):
     """Squarefree d with the eigenvalues in Q(sqrt(d)), from the first odd
     good prime (p not dividing the level or disc(f)) whose conjugate pair is
     distinct.  Returns (d, {p: (t, s)})."""
     pinned = {}
-    p = 3
-    while True:
-        if level % p and disc % p:
+    for p in primes_from(3):
+        if level % p and _squarefree_mod_p(fc, p):
             t, s = norm_pair_mod_p2(fc, p)
             pinned[p] = (t, s)
             dd = t * t - 4 * s
             assert dd >= 0, "eigenvalues must be totally real"
             if dd > 0:
                 return abs(squarefree_kernel(dd)[0]), pinned
-        p += 2
-        while any(p % q == 0 for q in (3, 5, 7) if q < p):
-            p += 2
 
 
 def counted_candidates(p, t, s, d):
@@ -279,8 +265,7 @@ def make_dataset(level, precision, verbose=True):
         if verbose:
             print(f"  [{level}] {msg}", flush=True)
 
-    disc = discriminant(IntPolynomial(fc))
-    d, pinned = detect_field(fc, level, disc)
+    d, pinned = detect_field(fc, level)
     log(f"eigenvalue field Q(sqrt({d}))")
 
     # --- joint stage: primes 2,3,5,7 at precision 11 -----------------------
@@ -293,7 +278,7 @@ def make_dataset(level, precision, verbose=True):
                 c for c in hasse_candidates(2, d) if c.b == 0
             ]
         else:
-            if disc % p == 0:
+            if not _squarefree_mod_p(fc, p):
                 raise NotImplementedError(f"odd prime {p} | disc but not level")
             t, s = pinned.get(p) or norm_pair_mod_p2(fc, p)
             small_sets[p] = counted_candidates(p, t, s, d)
@@ -305,7 +290,7 @@ def make_dataset(level, precision, verbose=True):
         table = dict(zip((2, 3, 5, 7), combo))
         try:
             res = build_residual(table, level, d, fc, 11)
-        except AssertionError:
+        except (AssertionError, InputError):
             continue
         if not any(residual_prefix(res, 2)):
             winners.append(table)
@@ -323,13 +308,11 @@ def make_dataset(level, precision, verbose=True):
     log(f"small primes: {prime_table}")
 
     # --- greedy stage: p >= 11 ascending, B_p from an affine probe ---------
-    for p in range(11, work):
-        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-            continue
+    for p in primes_from(11, work):
         if level % p == 0:
             prime_table[p] = Quad(-1)
             continue
-        if disc % p == 0:
+        if not _squarefree_mod_p(fc, p):
             raise NotImplementedError(f"odd prime {p} | disc but not level")
         t = trace_mod_p(fc, p)
         half_t = Fraction(t, 2)
@@ -369,6 +352,11 @@ def make_dataset(level, precision, verbose=True):
     return data
 
 
+def dataset_text(data):
+    """The dataset file's contents, as bundled."""
+    return json.dumps(dataset_to_json(data), indent=1) + "\n"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--levels", default=",".join(map(str, sorted(TARGETS))))
@@ -383,9 +371,7 @@ def main():
         t0 = time.time()
         data = make_dataset(level, TARGETS[level])
         path = out / f"ds{level:03d}.json"
-        with open(path, "w") as fh:
-            json.dump(dataset_to_json(data), fh, indent=1)
-            fh.write("\n")
+        path.write_text(dataset_text(data))
         print(f"wrote {path} (precision {data.precision}, {time.time() - t0:.1f}s)")
 
 
