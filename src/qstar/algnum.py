@@ -3,7 +3,8 @@
 Splits integer polynomials (degree <= 16 in this application) into irreducible
 factors, presents quadratic roots as exact surds a + b*sqrt(d), and recognizes
 when the splitting field of a factor is multiquadratic Q(sqrt(d1),...,sqrt(dk)),
-returning an exact element of that field whose conjugates are the roots.
+returning an exact element of that field whose conjugates are the roots. A
+surd is the k = 1 case of the same element type, MultiQuadElement.
 
 Numeric steps (root finding, rational reconstruction) are heuristic helpers
 only; every returned identification is certified by exact expansion inside the
@@ -17,17 +18,16 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional
 
 import mpmath
 
-from ._backend import perfect_square_root
 from .errors import FactorizationError, InputError
 
 __all__ = [
     "IntPolynomial",
-    "QuadraticSurd",
     "MultiQuadElement",
     "factor_rational",
     "quadratic_surd_roots",
@@ -152,6 +152,34 @@ def _brent_rho(n: int, budget: list) -> int:
             return g
 
 
+# squares mod 64, 63, 65 and 11: most non-squares fail one of these lookups,
+# which are cheaper than the isqrt that settles the rest
+_SQ_MASK_64 = [False] * 64
+for _i in range(32):
+    _SQ_MASK_64[(_i * _i) % 64] = True
+_SQ_MASK_63 = [False] * 63
+_SQ_MASK_65 = [False] * 65
+_SQ_MASK_11 = [False] * 11
+for _i in range(64):
+    _SQ_MASK_63[(_i * _i) % 63] = True
+    _SQ_MASK_65[(_i * _i) % 65] = True
+    _SQ_MASK_11[(_i * _i) % 11] = True
+
+
+def perfect_square_root(n: int):
+    """isqrt(n) if n is a perfect square, else None (n >= 0)."""
+    if not _SQ_MASK_64[n & 63]:
+        return None
+    if not _SQ_MASK_63[n % 63] or not _SQ_MASK_65[n % 65] or not _SQ_MASK_11[n % 11]:
+        return None
+    r = isqrt(n)
+    return r if r * r == n else None
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and perfect_square_root(n) is not None
+
+
 def _factor_into_primes(n: int, budget: list, out: dict):
     """Accumulate the prime factorization of n >= 1 into out (prime -> exp)."""
     if n == 1:
@@ -159,8 +187,8 @@ def _factor_into_primes(n: int, budget: list, out: dict):
     if is_probable_prime(n):
         out[n] = out.get(n, 0) + 1
         return
-    r = isqrt(n)
-    if r * r == n:
+    r = perfect_square_root(n)
+    if r is not None:
         tmp: dict = {}
         _factor_into_primes(r, budget, tmp)
         for p, e in tmp.items():
@@ -199,8 +227,8 @@ def squarefree_kernel(n: int, budget: int = 6_000_000) -> tuple:
         if is_probable_prime(n):
             d *= n
         else:
-            r = isqrt(n)
-            if r * r == n:
+            r = perfect_square_root(n)
+            if r is not None:
                 e *= r
             else:
                 fac: dict = {}
@@ -210,10 +238,6 @@ def squarefree_kernel(n: int, budget: int = 6_000_000) -> tuple:
                         d *= p
                     e *= p ** (k // 2)
     return sign * d, e
-
-
-def _is_square(n: int) -> bool:
-    return n >= 0 and perfect_square_root(n) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -742,38 +766,11 @@ def factor_rational(p: IntPolynomial) -> list:
 # quadratic surds
 
 
-@dataclass(frozen=True)
-class QuadraticSurd:
-    """The exact value a + b*sqrt(d) with d squarefree, d not in {0, 1}."""
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.d in (0, 1):
-            raise InputError("surd radicand must not be 0 or 1")
-        if squarefree_kernel(self.d)[1] != 1:
-            raise InputError("surd radicand must be squarefree")
-        if self.b == 0:
-            raise InputError("degenerate surd (b = 0) is just a rational")
-
-    def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd(self.a, -self.b, self.d)
-
-    def __str__(self):
-        if self.b < 0:
-            return f"{self.a} - {-self.b}*sqrt({self.d})"
-        return f"{self.a} + {self.b}*sqrt({self.d})"
-
-
 def quadratic_surd_roots(q: IntPolynomial) -> tuple:
-    """Roots of an irreducible integer quadratic as conjugate exact surds.
+    """Roots of an irreducible integer quadratic, conjugate elements of Q(sqrt(d)).
 
-    Returns the pair (-B +- e*sqrt(d))/(2A), positive-b representative first.
-    A perfect-square discriminant (reducible input) is an error.
+    Returns the pair (-B +- e*sqrt(d))/(2A), positive sqrt(d) coordinate
+    first. A perfect-square discriminant (reducible input) is an error.
     """
     if q.degree != 2:
         raise InputError("quadratic_surd_roots needs degree exactly 2")
@@ -782,10 +779,8 @@ def quadratic_surd_roots(q: IntPolynomial) -> tuple:
     if _is_square(delta):
         raise InputError("discriminant is a perfect square; split the factor instead")
     d, e = squarefree_kernel(delta)
-    ra = Fraction(-b, 2 * a)
-    rb = abs(Fraction(e, 2 * a))
-    first = QuadraticSurd(ra, rb, d)
-    return first, first.conjugate()
+    first = MultiQuadElement((d,), (Fraction(-b, 2 * a), abs(Fraction(e, 2 * a))))
+    return first, first.conjugate(1)
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +799,22 @@ def _independent(gens) -> bool:
     return True
 
 
+@lru_cache(maxsize=1024)
+def _checked_generators(gens: tuple) -> tuple:
+    """gens, once checked squarefree, not 0 or 1, and independent.
+
+    Cached, since every arithmetic result re-presents its operands' field.
+    """
+    for g in gens:
+        if g in (0, 1):
+            raise InputError("radicand 0 or 1 in generator list")
+        if squarefree_kernel(g)[1] != 1:
+            raise InputError(f"generator {g} is not squarefree")
+    if not _independent(gens):
+        raise InputError("generators are multiplicatively dependent")
+    return gens
+
+
 @dataclass(frozen=True)
 class MultiQuadElement:
     """An exact element of Q(sqrt(d1), ..., sqrt(dk)).
@@ -812,23 +823,21 @@ class MultiQuadElement:
     Generators are squarefree, multiplicatively independent integers (no
     nonempty subset product is a square), so coordinates are unique and the
     2^k conjugates are exactly the independent sign flips of the generators.
+
+    +, - and * take an element of the same field or a rational (int or
+    Fraction) on either side, / takes a rational divisor and ** a
+    non-negative int; an element is true when any coordinate is nonzero, so
+    f(theta) is false exactly when theta is a root of f.
     """
 
     generators: tuple
     coords: tuple
 
     def __post_init__(self):
-        gens = tuple(int(g) for g in self.generators)
+        gens = _checked_generators(tuple(int(g) for g in self.generators))
         coords = tuple(Fraction(c) for c in self.coords)
         if len(coords) != 1 << len(gens):
             raise InputError("coordinate count must be 2^k")
-        for g in gens:
-            if g in (0, 1):
-                raise InputError("radicand 0 or 1 in generator list")
-            if squarefree_kernel(g)[1] != 1:
-                raise InputError(f"generator {g} is not squarefree")
-        if not _independent(gens):
-            raise InputError("generators are multiplicatively dependent")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "coords", coords)
 
@@ -836,43 +845,48 @@ class MultiQuadElement:
     def k(self) -> int:
         return len(self.generators)
 
-    @classmethod
-    def rational(cls, value, generators) -> "MultiQuadElement":
-        coords = [Fraction(0)] * (1 << len(generators))
-        coords[0] = Fraction(value)
-        return cls(tuple(generators), tuple(coords))
-
-    def _same_field(self, other):
-        if self.generators != other.generators:
-            raise InputError("elements use different field presentations")
+    def _coords_of(self, other):
+        """Coordinates of other in this field; None unless an element or rational."""
+        if isinstance(other, MultiQuadElement):
+            if self.generators != other.generators:
+                raise InputError("elements use different field presentations")
+            return other.coords
+        if isinstance(other, (int, Fraction)):
+            return (Fraction(other),) + (Fraction(0),) * ((1 << self.k) - 1)
+        return None
 
     def __add__(self, other):
-        self._same_field(other)
+        coords = self._coords_of(other)
+        if coords is None:
+            return NotImplemented
         return MultiQuadElement(
-            self.generators, tuple(x + y for x, y in zip(self.coords, other.coords))
+            self.generators, tuple(x + y for x, y in zip(self.coords, coords))
         )
 
-    def __sub__(self, other):
-        self._same_field(other)
-        return MultiQuadElement(
-            self.generators, tuple(x - y for x, y in zip(self.coords, other.coords))
-        )
+    __radd__ = __add__
 
     def __neg__(self):
         return MultiQuadElement(self.generators, tuple(-x for x in self.coords))
 
-    def scale(self, c) -> "MultiQuadElement":
-        c = Fraction(c)
-        return MultiQuadElement(self.generators, tuple(x * c for x in self.coords))
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
-        self._same_field(other)
-        n = 1 << self.k
-        out = [Fraction(0)] * n
+        if isinstance(other, (int, Fraction)):
+            return MultiQuadElement(
+                self.generators, tuple(x * other for x in self.coords)
+            )
+        coords = self._coords_of(other)
+        if coords is None:
+            return NotImplemented
+        out = [Fraction(0)] * (1 << self.k)
         for s, cs in enumerate(self.coords):
             if not cs:
                 continue
-            for t, ct in enumerate(other.coords):
+            for t, ct in enumerate(coords):
                 if not ct:
                     continue
                 common = s & t
@@ -883,6 +897,25 @@ class MultiQuadElement:
                 out[s ^ t] += cs * ct * factor
         return MultiQuadElement(self.generators, tuple(out))
 
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """Division by a nonzero rational."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return MultiQuadElement(self.generators, tuple(x / other for x in self.coords))
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise InputError("elements take only non-negative integer powers")
+        out = MultiQuadElement(self.generators, self._coords_of(1))
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __bool__(self):
+        return any(self.coords)
+
     def conjugate(self, mask: int) -> "MultiQuadElement":
         """Apply sqrt(d_i) -> -sqrt(d_i) for each generator i in the bitmask."""
         return MultiQuadElement(
@@ -892,14 +925,6 @@ class MultiQuadElement:
                 for s, c in enumerate(self.coords)
             ),
         )
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise InputError("element is irrational")
-        return self.coords[0]
 
     def evaluate(self, prec: int = 128):
         """Numeric value as an mpmath complex at about prec bits."""
@@ -1035,23 +1060,17 @@ def _greedy_generators(radicands, k):
 
 def _certified(theta: MultiQuadElement, g: IntPolynomial) -> bool:
     """Exact check: prod over conjugates of (x - theta^sigma) equals g / lc."""
-    k = theta.k
-    gens = theta.generators
-    poly = [MultiQuadElement.rational(1, gens)]
-    for sigma in range(1 << k):
+    poly = [1]
+    for sigma in range(1 << theta.k):
         conj = theta.conjugate(sigma)
-        new = [MultiQuadElement.rational(0, gens) for _ in range(len(poly) + 1)]
+        new = [0] * (len(poly) + 1)
         for i, c in enumerate(poly):
             new[i + 1] = new[i + 1] + c
             new[i] = new[i] - c * conj
         poly = new
     if len(poly) != g.degree + 1:
         return False
-    lead = g.leading
-    for i, c in enumerate(poly):
-        if not c.is_rational() or c.rational_value() != Fraction(g.coeffs[i], lead):
-            return False
-    return True
+    return not any(c - Fraction(gc, g.leading) for c, gc in zip(poly, g.coeffs))
 
 
 def _canonical_flips(theta: MultiQuadElement) -> MultiQuadElement:
@@ -1079,10 +1098,9 @@ def identify_multiquadratic(g: IntPolynomial) -> Optional[MultiQuadElement]:
         raise InputError("degree must be 2, 4, 8, or 16")
     if deg == 2:
         try:
-            root, _ = quadratic_surd_roots(g)
+            theta, _ = quadratic_surd_roots(g)
         except (InputError, FactorizationError):
             return None
-        theta = MultiQuadElement((root.d,), (root.a, root.b))
         return theta if _certified(theta, g) else None
     k = deg.bit_length() - 1
     floor = _min_identify_prec(g)

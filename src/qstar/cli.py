@@ -34,7 +34,6 @@ from typing import Optional
 from .algnum import (
     IntPolynomial,
     MultiQuadElement,
-    QuadraticSurd,
     factor_rational,
     field_label,
     identify_multiquadratic,
@@ -135,7 +134,7 @@ class FactorReport:
     multiplicity: int
     field_kind: str  # "rational" | "quadratic" | "multiquadratic" | "opaque"
     generators: tuple  # squarefree radicands when the field is identified
-    roots: tuple  # exact presentations (Fraction | QuadraticSurd | MultiQuadElement)
+    roots: tuple  # exact presentations (Fraction | MultiQuadElement)
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def _field_and_roots(f: IntPolynomial):
         return "rational", (), (Fraction(-c0, c1),)
     if f.degree == 2:
         root, conj = quadratic_surd_roots(f)
-        return "quadratic", (root.d,), (root, conj)
+        return "quadratic", root.generators, (root, conj)
     if f.degree in (4, 8, 16):
         elem = identify_multiquadratic(f)
         if elem is not None:
@@ -165,19 +164,11 @@ def _field_and_roots(f: IntPolynomial):
     return "opaque", (), ()
 
 
-def _check_roots(f: IntPolynomial, kind: str, roots: tuple) -> None:
-    """Each claimed rational or surd root must satisfy its factor exactly."""
-    if kind == "rational":
-        (r,) = roots
-        if f(r) != 0:
+def _check_roots(f: IntPolynomial, roots: tuple) -> None:
+    """Every claimed root, rational or field element, must satisfy its factor."""
+    for r in roots:
+        if f(r):
             raise QstarError(f"internal: claimed root {r} does not satisfy {poly_str(f)}")
-    elif kind == "quadratic":
-        c0, c1, c2 = (Fraction(c) for c in f.coeffs)
-        for r in roots:
-            rational_part = c2 * (r.a * r.a + r.b * r.b * r.d) + c1 * r.a + c0
-            surd_part = 2 * c2 * r.a * r.b + c1 * r.b
-            if rational_part != 0 or surd_part != 0:
-                raise QstarError(f"internal: claimed root {r} does not satisfy {poly_str(f)}")
 
 
 def _check_product(factors: tuple, monic_coeffs: tuple) -> None:
@@ -200,7 +191,7 @@ def point_report(ctx: LevelContext, p: CurvePoint) -> PointReport:
     cm_entries = []
     for f, mult in factor_rational(ipoly):
         kind, gens, roots = _field_and_roots(f)
-        _check_roots(f, kind, roots)
+        _check_roots(f, roots)
         factors.append(FactorReport(f, mult, kind, gens, roots))
         # CM j-invariants are algebraic integers: only monic factors qualify
         cm_entries.append(identify_cm(f) if f.is_monic() else None)
@@ -219,13 +210,14 @@ def point_report(ctx: LevelContext, p: CurvePoint) -> PointReport:
 def _root_json(r) -> dict:
     if isinstance(r, Fraction):
         return {"kind": "rational", "value": str(r)}
-    if isinstance(r, QuadraticSurd):
+    if isinstance(r, MultiQuadElement) and r.k == 1:
+        (d,), (a, b) = r.generators, r.coords
         return {
             "kind": "surd",
-            "a": str(r.a),
-            "b": str(r.b),
-            "d": str(r.d),
-            "display": str(r),
+            "a": str(a),
+            "b": str(b),
+            "d": str(d),
+            "display": f"{a} {'-' if b < 0 else '+'} {abs(b)}*sqrt({d})",
         }
     if isinstance(r, MultiQuadElement):
         return {

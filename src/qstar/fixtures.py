@@ -23,7 +23,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Optional, Union
 
-from .algnum import QuadraticSurd
+from .algnum import MultiQuadElement
 from .errors import InputError
 from .hyperelliptic import INF_MINUS, CurvePoint, SexticCurve
 
@@ -38,9 +38,10 @@ __all__ = [
     "cm_rows",
 ]
 
-# a known j-invariant: exact rational, exact quadratic surd (with its
-# conjugate implied), or the generator set of the field it generates
-CMValue = Union[Fraction, QuadraticSurd, tuple]
+# a known j-invariant: exact rational, exact quadratic surd (an element of
+# Q(sqrt(d)), its conjugate implied), or the generator set of the field it
+# generates
+CMValue = Union[Fraction, MultiQuadElement, tuple]
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def _parse_cm_value(obj: dict) -> CMValue:
     if kind == "rational":
         return Fraction(obj["v"])
     if kind == "surd":
-        return QuadraticSurd(Fraction(obj["u"]), Fraction(obj["v"]), obj["d"])
+        return MultiQuadElement((obj["d"],), (Fraction(obj["u"]), Fraction(obj["v"])))
     if kind == "field":
         return tuple(obj["gens"])
     raise InputError(f"unknown j-value kind {kind!r}")

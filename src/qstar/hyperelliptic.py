@@ -16,11 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
-from ._backend import search_sextic
-from .algnum import _trim, _zadd, _zderiv, _zeval, _zgcd_poly, _zmul, _zsub
+from .algnum import (
+    _trim,
+    _zadd,
+    _zderiv,
+    _zeval,
+    _zgcd_poly,
+    _zmul,
+    _zsub,
+    perfect_square_root,
+)
 from .errors import InputError
 
 
@@ -281,6 +289,101 @@ def monomial_for_order(n: int) -> Monomial:
     if r == 1:
         return Monomial("f4", (n - 4) // 3)
     return Monomial("f5", (n - 5) // 3)
+
+
+# Odd primes of the sieve. Each one halves the survivors, roughly, and the
+# AND chain for a v stops as soon as no u is left, so primes past the point
+# where that usually happens cost almost nothing.
+_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _sieve_tiles(coeffs, p: int, height: int) -> list:
+    """One bitset over u = -height..height per residue w = v mod p.
+
+    Bit u + height of tile w is clear only when no coprime (u, v) with
+    v = w mod p can make f(u, v) a square: f(u, v) is then a non-square mod
+    p. For w != 0, f(u, v) = v**6 * f(u/v, 1) mod p and v**6 is a nonzero
+    square, so one row of f(r, 1) mod p, r = 0..p-1, permuted by 1/w, gives
+    the pattern. For w = 0 only a6 * u**6 is left, and u = 0 mod p would
+    share the factor p with v.
+    """
+    squares = {r * r % p for r in range(p)}
+    good = []  # the r with f(r, 1) a square or 0 mod p
+    for r in range(p):
+        t = 0
+        for c in reversed(coeffs):
+            t = (t * r + c) % p
+        if t in squares:
+            good.append(r)
+    width = 2 * height + 1
+    # a 1 every p bits, covering the width; multiplying a p-bit pattern by it
+    # repeats the pattern
+    repeat = ((1 << (p * -(-width // p))) - 1) // ((1 << p) - 1)
+    mask = (1 << width) - 1
+    # bit j of a pattern stands for every u = j - height mod p
+    if coeffs[6] % p in squares:
+        pattern = ((1 << p) - 1) ^ (1 << height % p)
+    else:
+        pattern = 0
+    tiles = [pattern * repeat & mask]
+    for w in range(1, p):
+        # u = r * w mod p is allowed exactly when r is good
+        pattern = sum(1 << (r * w + height) % p for r in good)
+        tiles.append(pattern * repeat & mask)
+    return tiles
+
+
+def search_sextic(coeffs, height: int) -> list:
+    """Solutions of s**2 = sum(coeffs[i] * u**i * v**(6-i)) in coprime u, v.
+
+    coeffs is (a0, ..., a6); scans v in 1..height, |u| <= height, returns
+    (u, v, s) triples with s >= 0, ordered by (v, u).
+
+    A bitset sieve in the style of M. Stoll's ratpoints runs before the
+    exact square test. For each v, the candidate u form one bitset: the AND
+    of one tile per sieve prime p, chosen by v mod p (see _sieve_tiles). A
+    u survives only if f(u, v) is a square or 0 mod every sieve prime, and
+    every survivor still goes through the exact checks: gcd(u, v) == 1,
+    f(u, v) >= 0 and an exact integer square root. The sieve cannot drop a
+    point: if f(u, v) = s**2, then f(u, v) mod p is s**2 mod p, a square or
+    0, for every p.
+    """
+    a0, a1, a2, a3, a4, a5, a6 = coeffs
+    sieve = [(p, _sieve_tiles(coeffs, p, height)) for p in _SIEVE_PRIMES]
+    everything = (1 << (2 * height + 1)) - 1
+    out = []
+    for v in range(1, height + 1):
+        cand = everything
+        for p, tiles in sieve:
+            cand &= tiles[v % p]
+            if not cand:
+                break
+        if not cand:
+            continue
+        v2 = v * v
+        v3 = v2 * v
+        v4 = v3 * v
+        v5 = v4 * v
+        v6 = v5 * v
+        c0 = a0 * v6
+        c1 = a1 * v5
+        c2 = a2 * v4
+        c3 = a3 * v3
+        c4 = a4 * v2
+        c5 = a5 * v
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1 - height
+            if gcd(u, v) != 1:
+                continue
+            t = ((((((a6 * u + c5) * u + c4) * u + c3) * u + c2) * u + c1) * u) + c0
+            if t < 0:
+                continue
+            s = perfect_square_root(t)
+            if s is not None:
+                out.append((u, v, s))
+    return out
 
 
 def search_points(curve: SexticCurve, height_bound: int) -> list:

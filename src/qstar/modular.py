@@ -11,6 +11,7 @@ dataset's consistency certificate.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -268,6 +269,23 @@ def validate_dataset(data: ModularDataset, expected: SexticCurve) -> ValidationR
 # bundled dataset files
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer or a decimal string; floats, bools and the rest are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise DatasetError(f"malformed dataset JSON: {what} is {value!r}, not an integer")
+
+
+def _json_int_list(value, what: str) -> tuple:
+    if not isinstance(value, list):
+        raise DatasetError(
+            f"malformed dataset JSON: {what} is a {type(value).__name__}, not a list"
+        )
+    return tuple(_json_int(c, f"an entry of {what}") for c in value)
+
+
 def dataset_from_json(obj: dict) -> ModularDataset:
     """Parse the versioned dataset mapping (decimal-string coefficients)."""
     if not isinstance(obj, dict):
@@ -275,11 +293,11 @@ def dataset_from_json(obj: dict) -> ModularDataset:
     if obj.get("format") != 1:
         raise DatasetError(f"unsupported dataset format {obj.get('format')!r}")
     try:
-        level = int(obj["level"])
-        precision = int(obj["precision"])
-        h1 = tuple(int(c) for c in obj["h1"])
-        h2 = tuple(int(c) for c in obj["h2"])
-    except (KeyError, TypeError, ValueError) as exc:
+        level = _json_int(obj["level"], "level")
+        precision = _json_int(obj["precision"], "precision")
+        h1 = _json_int_list(obj["h1"], "h1")
+        h2 = _json_int_list(obj["h2"], "h2")
+    except (KeyError, ValueError) as exc:
         raise DatasetError(f"malformed dataset JSON: {exc}") from exc
     return ModularDataset(level=level, precision=precision, h1=h1, h2=h2)
 

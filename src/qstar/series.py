@@ -20,9 +20,54 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from ._backend import convolve
 from .algnum import _content
 from .errors import SeriesPrecisionError
+
+
+def _slot_row(count: int, nbytes: int) -> int:
+    """sum(2**(8*nbytes - 1) * X**i for i < count) with X = 2**(8*nbytes)."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
+
+
+def _pack(coeffs: list, nbytes: int, half: int) -> int:
+    """sum(c * X**i) with X = 2**(8*nbytes), for |c| < half = X // 2."""
+    biased = b"".join((c + half).to_bytes(nbytes, "little") for c in coeffs)
+    return int.from_bytes(biased, "little") - _slot_row(len(coeffs), nbytes)
+
+
+def convolve(a: list, b: list, out_len: int) -> list:
+    """First out_len coefficients of the product of integer coefficient lists.
+
+    Kronecker substitution (Harvey, arXiv:0712.4046), the one product of
+    the series code: with X = 2**k, A = a(X) and B = b(X) are single
+    integers, and the product's coefficients are the base-X digits of A*B,
+    read as signed digits. The slot width k is a whole number of bytes with
+    |c| < 2**(k-1) for every coefficient c that is read back, so no digit
+    spills into its neighbour. Past len(a) + len(b) - 1 the result is
+    zero-padded.
+    """
+    if out_len <= 0 or not a or not b:
+        return [0] * out_len
+    a = a[:out_len]
+    b = b[:out_len]
+    bits = (
+        max(c.bit_length() for c in a)
+        + max(c.bit_length() for c in b)
+        + min(len(a), len(b)).bit_length()
+    )
+    nbytes = bits // 8 + 1
+    half = 1 << (8 * nbytes - 1)
+    n = min(out_len, len(a) + len(b) - 1)
+    product = _pack(a, nbytes, half) * _pack(b, nbytes, half)
+    # the digits below X**n, each shifted into [0, X) by adding half
+    low = (product + _slot_row(n, nbytes)) & ((1 << (8 * nbytes * n)) - 1)
+    data = low.to_bytes(nbytes * n, "little")
+    out = [
+        int.from_bytes(data[i : i + nbytes], "little") - half
+        for i in range(0, nbytes * n, nbytes)
+    ]
+    out += [0] * (out_len - n)
+    return out
 
 
 class LaurentSeries:

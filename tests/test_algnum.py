@@ -11,7 +11,6 @@ from qstar import algnum
 from qstar.algnum import (
     IntPolynomial,
     MultiQuadElement,
-    QuadraticSurd,
     _greedy_generators,
     _is_square,
     _monicize,
@@ -35,16 +34,16 @@ def minpoly_of(element):
     Expands the full conjugate product exactly, so it doubles as an
     independent check of the algebra itself.
     """
-    gens = element.generators
-    poly = [MultiQuadElement.rational(1, gens)]
+    poly = [1]
     for sigma in range(1 << element.k):
         conj = element.conjugate(sigma)
-        new = [MultiQuadElement.rational(0, gens) for _ in range(len(poly) + 1)]
+        new = [0] * (len(poly) + 1)
         for i, c in enumerate(poly):
             new[i + 1] = new[i + 1] + c
             new[i] = new[i] - c * conj
         poly = new
-    coeffs = [c.rational_value() for c in poly]
+    coeffs = [Fraction(c) if isinstance(c, int) else c.coords[0] for c in poly]
+    assert not any(c - r for c, r in zip(poly, coeffs)), "irrational coefficient"
     den = lcm(*[c.denominator for c in coeffs])
     return P(tuple(int(c * den) for c in coeffs))
 
@@ -206,24 +205,25 @@ def test_factor_rejects_constant():
 
 
 def test_surd_validation():
+    # a surd is an element of Q(sqrt(d)): d must be squarefree and not 0 or 1
+    for d in (0, 1, 12):
+        with pytest.raises(InputError):
+            MultiQuadElement((d,), (F(1), F(1)))
     with pytest.raises(InputError):
-        QuadraticSurd(F(1), F(1), 1)
-    with pytest.raises(InputError):
-        QuadraticSurd(F(1), F(1), 12)
-    with pytest.raises(InputError):
-        QuadraticSurd(F(1), F(0), 5)
+        quadratic_surd_roots(P((-2, 0, 0, 1)))  # not a quadratic
 
 
 def test_surd_roots_sqrt2():
     r1, r2 = quadratic_surd_roots(P((-2, 0, 1)))
-    assert (r1.a, r1.b, r1.d) == (0, 1, 2)
-    assert (r2.a, r2.b, r2.d) == (0, -1, 2)
-    assert str(r1) == "0 + 1*sqrt(2)"
+    assert (r1.generators, r1.coords) == ((2,), (0, 1))
+    assert (r2.generators, r2.coords) == ((2,), (0, -1))
+    assert r2 == r1.conjugate(1)
+    assert str(r1) == "sqrt(2)"
 
 
 def test_surd_roots_huge_class_polynomial_root():
     r1, _ = quadratic_surd_roots(P((-134217728000, 117964800, 1)))
-    assert (r1.a, r1.b, r1.d) == (-58982400, 26378240, 5)
+    assert (r1.generators, r1.coords) == ((5,), (-58982400, 26378240))
 
 
 def test_surd_roots_reject_square_discriminant():
@@ -240,11 +240,13 @@ def test_surd_roots_satisfy_polynomial():
             r1, r2 = quadratic_surd_roots(q)
         except InputError:
             continue
+        assert r1.coords[1] > 0 and r2 == r1.conjugate(1)
         for r in (r1, r2):
             # a*r^2 + b*r + c == 0 split into rational and sqrt(d) parts
-            rat = a * (r.a * r.a + r.b * r.b * r.d) + b * r.a + c
-            irr = 2 * a * r.a * r.b + b * r.b
-            assert rat == 0 and irr == 0
+            (d,), (x, y) = r.generators, r.coords
+            assert a * (x * x + y * y * d) + b * x + c == 0
+            assert 2 * a * x * y + b * y == 0
+            assert not q(r) and not a * r**2 + b * r + c
 
 
 # --- the multiquadratic algebra ----------------------------------------------
@@ -253,6 +255,8 @@ def test_surd_roots_satisfy_polynomial():
 def test_element_validation():
     with pytest.raises(InputError):
         MultiQuadElement((2, 3, 6), (F(0),) * 8)  # dependent: 2*3*6 is a square
+    with pytest.raises(InputError):
+        MultiQuadElement((1,), (F(0), F(1)))  # Q(sqrt(1)) = Q is no field extension
     with pytest.raises(InputError):
         MultiQuadElement((4,), (F(0), F(1)))
     with pytest.raises(InputError):
@@ -267,13 +271,59 @@ def test_element_arithmetic_matches_numerics():
         gens = (2, -3, 7)
         a = MultiQuadElement(gens, tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(8)))
         b = MultiQuadElement(gens, tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(8)))
+        r = F(rng.randint(-9, 9), rng.randint(1, 5))
+        n = rng.randint(1, 9)
+        ea, eb = a.evaluate(), b.evaluate()
         with mpmath.workprec(160):
+            er = mpmath.mpf(r.numerator) / r.denominator
             for expr, num in (
-                (a * b, a.evaluate() * b.evaluate()),
-                (a + b, a.evaluate() + b.evaluate()),
-                (a - b, a.evaluate() - b.evaluate()),
+                (a * b, ea * eb),
+                (a + b, ea + eb),
+                (a - b, ea - eb),
+                (a + r, ea + er),
+                (r + a, er + ea),
+                (a - r, ea - er),
+                (r - a, er - ea),
+                (a * r, ea * er),
+                (r * a, er * ea),
+                (a + n, ea + n),
+                (n - a, n - ea),
+                (n * a, n * ea),
+                (a / n, ea / n),
+                (a**0, mpmath.mpf(1)),
+                (a**n, ea**n),
+                (b**3, eb * eb * eb),
             ):
-                assert abs(expr.evaluate() - num) < 1e-25
+                assert abs(expr.evaluate() - num) < 1e-25 * (1 + abs(num))
+            if r:
+                assert abs((a / r).evaluate() - ea / er) < 1e-25 * (1 + abs(ea / er))
+
+
+def test_element_scalars_powers_and_truth():
+    gens = (2, -3)
+    a = MultiQuadElement(gens, (F(1, 2), F(-1), F(0), F(3)))
+    zero = MultiQuadElement(gens, (F(0),) * 4)
+    assert not zero and a and not a - a
+    assert a + 0 == 0 + a == a and a * 1 == 1 * a == a
+    assert a - F(1, 2) == MultiQuadElement(gens, (F(0), F(-1), F(0), F(3)))
+    assert 1 - a == -(a - 1)
+    assert a / 2 == a * F(1, 2)
+    assert a**0 == MultiQuadElement(gens, (F(1), F(0), F(0), F(0)))
+    assert a**5 == a * a * a * a * a
+    # true when any coordinate is nonzero, not only the rational one
+    assert MultiQuadElement(gens, (F(7), F(0), F(0), F(0)))
+    assert MultiQuadElement(gens, (F(0), F(0), F(0), F(-1)))
+    assert a - a.coords[0] and not (a - a.coords[0]).coords[0]
+    with pytest.raises(ZeroDivisionError):
+        a / 0
+    with pytest.raises(InputError):
+        a**-1
+    with pytest.raises(TypeError):
+        a / a
+    with pytest.raises(TypeError):
+        a + 0.5
+    with pytest.raises(InputError):
+        a + MultiQuadElement((2,), (F(0), F(1)))  # another field
 
 
 def test_conjugation_is_multiplicative():

@@ -1,9 +1,16 @@
-"""The integer kernels against naive reference loops kept here."""
+"""The integer kernels against naive reference loops kept here.
+
+convolve lives in series, search_sextic in hyperelliptic and
+perfect_square_root in algnum; _backend keeps only the COMPILED flag.
+"""
 
 import random
 from math import gcd, isqrt
 
 from qstar import _backend
+from qstar.algnum import perfect_square_root
+from qstar.hyperelliptic import _SIEVE_PRIMES, search_sextic
+from qstar.series import convolve
 
 SAMPLE_CURVES = [
     (9, -14, 9, -6, 6, -4, 1),
@@ -40,9 +47,10 @@ def naive_search(coeffs, height):
 
 
 def test_backend_exports():
-    assert callable(_backend.convolve)
-    assert callable(_backend.search_sextic)
-    assert isinstance(_backend.COMPILED, bool)
+    # the kernels live with their callers; _backend keeps only the flag
+    assert callable(convolve) and callable(search_sextic) and callable(perfect_square_root)
+    assert _backend.COMPILED is False
+    assert not hasattr(_backend, "convolve") and not hasattr(_backend, "search_sextic")
 
 
 def test_convolve_matches_naive_randomized():
@@ -51,41 +59,41 @@ def test_convolve_matches_naive_randomized():
         a = [rng.randint(-(10**9), 10**9) for _ in range(rng.randint(0, 20))]
         b = [rng.randint(-(10**9), 10**9) for _ in range(rng.randint(0, 20))]
         n = rng.randint(0, 45)
-        assert _backend.convolve(a, b, n) == naive_convolve(a, b, n)
+        assert convolve(a, b, n) == naive_convolve(a, b, n)
 
 
 def test_convolve_edge_lengths():
-    assert _backend.convolve([], [1, 2], 3) == [0, 0, 0]
-    assert _backend.convolve([1, 2], [], 2) == [0, 0]
-    assert _backend.convolve([1, 2], [3, 4], 0) == []
+    assert convolve([], [1, 2], 3) == [0, 0, 0]
+    assert convolve([1, 2], [], 2) == [0, 0]
+    assert convolve([1, 2], [3, 4], 0) == []
     # past len(a) + len(b) - 1 the product is zero-padded
-    assert _backend.convolve([1, 2], [3, 4], 6) == [3, 10, 8, 0, 0, 0]
+    assert convolve([1, 2], [3, 4], 6) == [3, 10, 8, 0, 0, 0]
 
 
 def test_convolve_bignum():
     a = [10**40, -(10**41)]
     b = [3, 7]
-    assert _backend.convolve(a, b, 3) == [3 * 10**40, 7 * 10**40 - 3 * 10**41, -7 * 10**41]
+    assert convolve(a, b, 3) == [3 * 10**40, 7 * 10**40 - 3 * 10**41, -7 * 10**41]
     rng = random.Random(778)
     a = [rng.randint(-(2**200), 2**200) for _ in range(12)]
     b = [rng.randint(-(2**300), 2**300) for _ in range(9)]
-    assert _backend.convolve(a, b, 25) == naive_convolve(a, b, 25)
+    assert convolve(a, b, 25) == naive_convolve(a, b, 25)
 
 
 def test_perfect_square_root():
     for n in range(2000):
-        assert _backend.perfect_square_root(n) == naive_square_root(n)
+        assert perfect_square_root(n) == naive_square_root(n)
     rng = random.Random(779)
     for bits in (60, 64, 65, 127, 128, 500, 1000):
         r = rng.getrandbits(bits) | 1 << (bits - 1)
-        assert _backend.perfect_square_root(r * r) == r
-        assert _backend.perfect_square_root(r * r - 1) is None
-        assert _backend.perfect_square_root(r * r + 1) is None
+        assert perfect_square_root(r * r) == r
+        assert perfect_square_root(r * r - 1) is None
+        assert perfect_square_root(r * r + 1) is None
 
 
 def test_search_matches_brute_force_small():
     for coeffs in SAMPLE_CURVES:
-        got = _backend.search_sextic(coeffs, 25)
+        got = search_sextic(coeffs, 25)
         assert got == naive_search(coeffs, 25)
         for u, v, s in got:
             t = sum(coeffs[i] * u**i * v ** (6 - i) for i in range(7))
@@ -94,19 +102,19 @@ def test_search_matches_brute_force_small():
 
 def test_search_large_coefficients_match_brute_force():
     coeffs = (1 << 80, 0, 0, -(1 << 70), 0, 0, 1)
-    got = _backend.search_sextic(coeffs, 6)
+    got = search_sextic(coeffs, 6)
     assert got and got == naive_search(coeffs, 6)
 
 
 def test_search_orders_by_v_then_u():
-    got = _backend.search_sextic((0, 0, 0, 0, 0, 0, 1), 4)
+    got = search_sextic((0, 0, 0, 0, 0, 0, 1), 4)
     assert got == sorted(got, key=lambda t: (t[1], t[0]))
     assert [(u, v) for u, v, _ in got[:3]] == [(-4, 1), (-3, 1), (-2, 1)]
 
 
 def test_search_known_points_on_sample_sextic():
     # y^2 = x^6 - 4x^5 + 6x^4 - 6x^3 + 9x^2 - 14x + 9
-    pts = _backend.search_sextic((9, -14, 9, -6, 6, -4, 1), 2)
+    pts = search_sextic((9, -14, 9, -6, 6, -4, 1), 2)
     assert (0, 1, 3) in pts and (-1, 1, 7) in pts and (2, 1, 1) in pts
 
 
@@ -138,12 +146,12 @@ def test_sieve_random_sextics_scaled_leading_coefficient():
             roots = [(u, v) for u, v in roots if gcd(u, v) == 1]
             coeffs = sextic_square_at(rng, roots, a6)
             height = rng.randint(8, 24)
-            got = _backend.search_sextic(coeffs, height)
+            got = search_sextic(coeffs, height)
             assert got == naive_search(coeffs, height)
             in_range = {(u, v) for u, v in roots if abs(u) <= height and v <= height}
             assert in_range <= {(u, v) for u, v, _ in got}
         coeffs = tuple(rng.randint(-40, 40) for _ in range(6)) + (a6,)
-        assert _backend.search_sextic(coeffs, 20) == naive_search(coeffs, 20)
+        assert search_sextic(coeffs, 20) == naive_search(coeffs, 20)
 
 
 def test_sieve_heights_below_the_largest_sieve_prime():
@@ -152,14 +160,14 @@ def test_sieve_heights_below_the_largest_sieve_prime():
     curves = SAMPLE_CURVES + [sextic_square_at(random.Random(1202), [(1, 3), (-2, 5)], 1)]
     for coeffs in curves:
         for height in range(1, 31):
-            assert _backend.search_sextic(coeffs, height) == naive_search(coeffs, height)
+            assert search_sextic(coeffs, height) == naive_search(coeffs, height)
 
 
 def test_sieve_all_coefficients_divisible_by_3_5_7():
     base = sextic_square_at(random.Random(1203), [(1, 2), (-3, 1), (2, 7)], 1)
     # f(u, v) = 0 mod 3, 5 and 7 for every u, v: those primes rule nothing out
     coeffs = tuple(105**2 * c for c in base)
-    got = _backend.search_sextic(coeffs, 30)
+    got = search_sextic(coeffs, 30)
     assert got == naive_search(coeffs, 30)
     assert {(1, 2), (-3, 1), (2, 7)} <= {(u, v) for u, v, _ in got}
 
@@ -175,14 +183,14 @@ def test_sieve_leading_coefficient_nonresidue():
             roots = [(rng.choice([-4, -2, -1, 1, 2, 4]), rng.choice(vs)) for _ in range(2)]
             coeffs = sextic_square_at(rng, roots, a6)
             assert coeffs[6] == a6
-            assert _backend.search_sextic(coeffs, 30) == naive_search(coeffs, 30)
+            assert search_sextic(coeffs, 30) == naive_search(coeffs, 30)
 
 
 def test_sieve_keeps_points_with_v_divisible_by_sieve_primes():
     # the v = 0 mod p tile must keep every u with a6 * u**6 a square mod p
     roots = [(1, 3), (-2, 5), (3, 7), (1, 15), (2, 21)]
     coeffs = sextic_square_at(random.Random(1205), roots, 1)
-    got = _backend.search_sextic(coeffs, 25)
+    got = search_sextic(coeffs, 25)
     assert got == naive_search(coeffs, 25)
     assert set(roots) <= {(u, v) for u, v, _ in got}
 
@@ -192,18 +200,18 @@ def test_sieve_keeps_points_with_s_divisible_by_each_sieve_prime():
     # x = 0 and s = p + 1 at x = 1, and x * h(x) has s = 0 at x = 0: a sieve
     # that took residue 0 for a non-square would lose these points.
     rng = random.Random(1206)
-    for p in _backend._SIEVE_PRIMES:
+    for p in _SIEVE_PRIMES:
         h = [rng.randint(-5, 5) for _ in range(4)] + [1]
         xxh = [0, 0] + h  # x**2 * h
         for i in range(1, 6):
             xxh[i] -= xxh[i + 1]  # x * (x - 1) * h
         cube_sq = [p * p, 0, 0, 2 * p, 0, 0, 1]
         coeffs = tuple(a + b for a, b in zip(cube_sq, xxh))
-        got = _backend.search_sextic(coeffs, 12)
+        got = search_sextic(coeffs, 12)
         assert got == naive_search(coeffs, 12)
         assert (0, 1, p) in got and (1, 1, p + 1) in got
         weierstrass = tuple([0] + [rng.randint(-5, 5) for _ in range(5)] + [p])
-        got = _backend.search_sextic(weierstrass, 12)
+        got = search_sextic(weierstrass, 12)
         assert got == naive_search(weierstrass, 12)
         assert (0, 1, 0) in got
 
@@ -218,8 +226,8 @@ def test_convolve_one_huge_coefficient_among_units():
         b = [rng.choice([-1, 1]) for _ in range(rng.randint(1, 30))]
         a[rng.randrange(len(a))] = rng.choice([-1, 1]) * (2**3000 - rng.getrandbits(64))
         n = rng.randint(1, 65)
-        assert _backend.convolve(a, b, n) == naive_convolve(a, b, n)
-        assert _backend.convolve(b, a, n) == naive_convolve(b, a, n)
+        assert convolve(a, b, n) == naive_convolve(a, b, n)
+        assert convolve(b, a, n) == naive_convolve(b, a, n)
 
 
 def test_convolve_all_negative():
@@ -228,18 +236,18 @@ def test_convolve_all_negative():
         a = [-rng.randint(1, 2**70) for _ in range(rng.randint(1, 25))]
         b = [-rng.randint(1, 2**20) for _ in range(rng.randint(1, 25))]
         n = len(a) + len(b) - 1
-        got = _backend.convolve(a, b, n)
+        got = convolve(a, b, n)
         assert got == naive_convolve(a, b, n) and all(c > 0 for c in got)
-        assert _backend.convolve(a, [1], len(a)) == a
+        assert convolve(a, [1], len(a)) == a
 
 
 def test_convolve_long_runs_of_zeros():
     a = [5] + [0] * 200 + [-3] + [0] * 50
     b = [0] * 100 + [7, 0, 0, -2] + [0] * 100
     for n in (1, 100, 101, 305, 306, 460, 600):
-        assert _backend.convolve(a, b, n) == naive_convolve(a, b, n)
-    assert _backend.convolve([0] * 40, [0] * 40, 79) == [0] * 79
-    assert _backend.convolve([0] * 40, [9] * 40, 10) == [0] * 10
+        assert convolve(a, b, n) == naive_convolve(a, b, n)
+    assert convolve([0] * 40, [0] * 40, 79) == [0] * 79
+    assert convolve([0] * 40, [9] * 40, 10) == [0] * 10
 
 
 def test_convolve_out_len_shorter_than_inputs():
@@ -248,15 +256,15 @@ def test_convolve_out_len_shorter_than_inputs():
         a = [rng.randint(-(2**90), 2**90) for _ in range(rng.randint(10, 40))]
         b = [rng.randint(-(2**90), 2**90) for _ in range(rng.randint(10, 40))]
         n = rng.randint(1, min(len(a), len(b)) - 1)
-        assert _backend.convolve(a, b, n) == naive_convolve(a, b, n)
+        assert convolve(a, b, n) == naive_convolve(a, b, n)
 
 
 def test_convolve_length_one():
     for x in (0, 1, -1, 2**100, -(3**200)):
         for y in (0, 1, -1, 7, -(2**64)):
-            assert _backend.convolve([x], [y], 1) == [x * y]
-            assert _backend.convolve([x], [y], 3) == [x * y, 0, 0]
-            assert _backend.convolve([x], [y, 3, -5], 3) == naive_convolve([x], [y, 3, -5], 3)
+            assert convolve([x], [y], 1) == [x * y]
+            assert convolve([x], [y], 3) == [x * y, 0, 0]
+            assert convolve([x], [y, 3, -5], 3) == naive_convolve([x], [y, 3, -5], 3)
 
 
 def test_convolve_coefficients_at_the_slot_width():
@@ -268,4 +276,4 @@ def test_convolve_coefficients_at_the_slot_width():
                 a = [(1 << bits_a) - 1] * length
                 b = [-((1 << bits_b) - 1)] * length
                 n = 2 * length - 1
-                assert _backend.convolve(a, b, n) == naive_convolve(a, b, n)
+                assert convolve(a, b, n) == naive_convolve(a, b, n)

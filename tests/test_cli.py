@@ -4,14 +4,21 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from mpmath import iv
 
 import qstar.cli
 import qstar.cm
+from qstar.algnum import (
+    IntPolynomial,
+    MultiQuadElement,
+    identify_multiquadratic,
+    quadratic_surd_roots,
+)
 from qstar.cm import class_polynomial
-from qstar.errors import FactorizationError, PrecisionCapError
+from qstar.errors import FactorizationError, PrecisionCapError, QstarError
 from qstar.fixtures import load_table
 from qstar.modular import dataset_to_json, load_dataset
 
@@ -67,6 +74,19 @@ def test_derive_equation_corrupt_dataset(tmp_path):
     proc = run_cli("derive-equation", str(path))
     assert proc.returncode == EXIT_MISMATCH
     assert "validation error" in proc.stderr
+
+
+def test_derive_equation_rejects_non_integer_json(tmp_path):
+    coeffs = dataset_to_json(load_dataset(67))["h1"]
+    for name, overrides in (
+        ("float_level.json", {"level": 67.4}),
+        ("float_coefficient.json", {"h1": [1.5] + coeffs[1:]}),
+        ("bool_level.json", {"level": True}),
+        ("string_list.json", {"h1": "h1"}),
+    ):
+        proc = run_cli("derive-equation", write_dataset(tmp_path, name, **overrides))
+        assert proc.returncode == EXIT_INPUT, name
+        assert proc.stdout == "" and "malformed dataset JSON" in proc.stderr, name
 
 
 def test_derive_equation_missing_file():
@@ -169,6 +189,41 @@ def test_pipeline_quartic_field_identification():
     assert factor["field"]["kind"] == "multiquadratic"
     assert sorted(int(g) for g in factor["field"]["generators"]) == [-95, 17]
     assert report["cm_entries"] == [None]
+
+
+def test_check_roots_substitutes_every_kind_of_root():
+    check = qstar.cli._check_roots
+    linear = IntPolynomial((-54000, 1))
+    quadratic = IntPolynomial((-134217728000, 117964800, 1))  # H_-35
+    quartic = IntPolynomial((12544, 0, 156, 0, 1))  # sqrt(17) + sqrt(-95)
+    surds = quadratic_surd_roots(quadratic)
+    theta = identify_multiquadratic(quartic)
+    check(linear, (Fraction(54000),))
+    check(quadratic, surds)
+    check(quartic, (theta,))
+    with pytest.raises(QstarError):
+        check(linear, (Fraction(54001),))
+    for poly, good, root in ((quadratic, surds[1], surds[0]), (quartic, None, theta)):
+        for i in range(len(root.coords)):
+            coords = list(root.coords)
+            coords[i] += Fraction(1, 3)
+            changed = MultiQuadElement(root.generators, tuple(coords))
+            with pytest.raises(QstarError):
+                check(poly, (changed,) if good is None else (good, changed))
+
+
+def test_surd_root_json():
+    first, second = quadratic_surd_roots(IntPolynomial((-134217728000, 117964800, 1)))
+    assert qstar.cli._root_json(first) == {
+        "kind": "surd",
+        "a": "-58982400",
+        "b": "26378240",
+        "d": "5",
+        "display": "-58982400 + 26378240*sqrt(5)",
+    }
+    assert qstar.cli._root_json(second)["display"] == "-58982400 - 26378240*sqrt(5)"
+    half, _ = quadratic_surd_roots(IntPolynomial((1, 0, 2)))  # sqrt(-1/2)
+    assert qstar.cli._root_json(half)["display"] == "0 + 1/2*sqrt(-2)"
 
 
 def test_pipeline_point_errors():

@@ -400,16 +400,17 @@ def test_cm_table_rational_j_matches_class_polynomial():
 
 
 def test_cm_table_surd_j_matches_class_polynomial():
-    from qstar.algnum import QuadraticSurd
+    from qstar.algnum import MultiQuadElement
 
     seen: dict = {}
     for r in _cm_table_rows():
         for d, v in zip(r.discriminants, r.j_values):
-            if isinstance(v, QuadraticSurd):
-                seen.setdefault(d, set()).add((v.a, v.b, v.d))
+            if isinstance(v, MultiQuadElement):
+                seen.setdefault(d, set()).add(v)
     for d, vals in sorted(seen.items()):
         assert len(vals) == 1, d
-        a, b, rad = vals.pop()
+        s = vals.pop()
+        (rad,), (a, b) = s.generators, s.coords
         # h(D) = 2 here, so H_D = (x - s)(x - conj s) exactly
         trace, norm = 2 * a, a * a - rad * b * b
         hd = class_polynomial(d).poly

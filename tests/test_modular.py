@@ -92,6 +92,54 @@ def test_json_round_trip():
         dataset_from_json({"format": 1, "level": 67, "precision": 5, "h1": ["x"], "h2": []})
 
 
+def _raw_67(**overrides):
+    raw = dataset_to_json(load_dataset(67))
+    raw.update(overrides)
+    return raw
+
+
+def test_json_accepts_ints_and_decimal_strings():
+    raw = _raw_67()
+    data = dataset_from_json(raw)
+    as_ints = _raw_67(level="67", precision=str(raw["precision"]))
+    as_ints["h1"] = [int(c) for c in raw["h1"]]
+    assert dataset_from_json(as_ints) == data
+
+
+def test_json_rejects_float_level():
+    for level in (67.4, 67.0, "67.0"):
+        with pytest.raises(DatasetError, match="level"):
+            dataset_from_json(_raw_67(level=level))
+
+
+def test_json_rejects_float_coefficient():
+    raw = _raw_67()
+    for bad in (1.5, 1.0, "1.5", "1e3", " 1", "", None):
+        h1 = list(raw["h1"])
+        h1[3] = bad
+        with pytest.raises(DatasetError, match="h1"):
+            dataset_from_json(_raw_67(h1=h1))
+
+
+def test_json_rejects_bools():
+    with pytest.raises(DatasetError, match="level"):
+        dataset_from_json(_raw_67(level=True))
+    with pytest.raises(DatasetError, match="precision"):
+        dataset_from_json(_raw_67(precision=False))
+    h2 = list(_raw_67()["h2"])
+    h2[0] = True
+    with pytest.raises(DatasetError, match="h2"):
+        dataset_from_json(_raw_67(h2=h2))
+
+
+def test_json_rejects_a_string_for_a_coefficient_list():
+    raw = _raw_67()
+    # a string of digits was read as a list of one-digit coefficients
+    for bad in ("h1", "".join(c.lstrip("-") for c in raw["h1"]), {"0": "1"}, 1):
+        with pytest.raises(DatasetError, match="h1"):
+            dataset_from_json(_raw_67(h1=bad))
+
+
 # --- coordinates and the model equation --------------------------------------
 
 

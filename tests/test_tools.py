@@ -1,6 +1,7 @@
-"""The dataset builder in tools/make_datasets.py against the bundled files."""
+"""The table tools in tools/ against the bundled files they write."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ def _load_tool(name):
 
 
 make_datasets = _load_tool("make_datasets")
+make_cm_tables = _load_tool("make_cm_tables")
 
 
 def test_prime_walk_yields_exactly_the_primes_below_250():
@@ -42,3 +44,19 @@ def test_make_dataset_reproduces_the_bundled_file(level):
     )
     bundled = ROOT / "src" / "qstar" / "data" / "datasets" / f"ds{level:03d}.json"
     assert make_datasets.dataset_text(data).encode() == bundled.read_bytes()
+
+
+def test_cm_tables_verify_and_reproduce_the_bundled_file():
+    assert make_cm_tables.verify() == []
+    bundled = ROOT / "src" / "qstar" / "data" / "cm_tables.json"
+    assert make_cm_tables.tables_text().encode() == bundled.read_bytes()
+
+
+def test_cm_table_surd_cell_check_substitutes_into_the_class_polynomial():
+    # H_-35 has the roots -58982400 +- 26378240*sqrt(5)
+    good = {"kind": "surd", "u": "-58982400", "v": "26378240", "d": 5}
+    assert make_cm_tables._check_cell(-35, json.dumps(good, sort_keys=True)) is None
+    for key in ("u", "v"):
+        bad = dict(good, **{key: str(int(good[key]) + 1)})
+        problem = make_cm_tables._check_cell(-35, json.dumps(bad, sort_keys=True))
+        assert problem == "surd is not a root of H(-35)"

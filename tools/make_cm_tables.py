@@ -22,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qstar.algnum import identify_multiquadratic, squarefree_kernel
+from qstar.algnum import MultiQuadElement, identify_multiquadratic, squarefree_kernel
 from qstar.cm import class_number, class_polynomial, one_class_per_genus
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "qstar" / "data" / "cm_tables.json"
@@ -32,49 +32,15 @@ OUT = Path(__file__).resolve().parent.parent / "src" / "qstar" / "data" / "cm_ta
 IDENT_DEGREE_MAX = 4
 
 
-class Q2:
-    """a + b*sqrt(d) with exact rational a, b; d a fixed non-square."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b, d):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = int(d)
-
-    def __mul__(self, other):
-        if isinstance(other, Q2):
-            if other.d != self.d:
-                raise ValueError("mixed radicands")
-            return Q2(
-                self.a * other.a + self.d * self.b * other.b,
-                self.a * other.b + self.b * other.a,
-                self.d,
-            )
-        return Q2(self.a * Fraction(other), self.b * Fraction(other), self.d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Q2(self.a / Fraction(other), self.b / Fraction(other), self.d)
-
-    def __neg__(self):
-        return Q2(-self.a, -self.b, self.d)
-
-    def __pow__(self, n):
-        out = Q2(1, 0, self.d)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def conj(self):
-        return Q2(self.a, -self.b, self.d)
+def Q2(a, b, d) -> MultiQuadElement:
+    """a + b*sqrt(d) with exact rational a, b; d squarefree, not 0 or 1."""
+    return MultiQuadElement((d,), (a, b))
 
 
-def S(value: Q2) -> dict:
+def S(value: MultiQuadElement) -> dict:
     """Surd j-value entry (the stored conjugate has positive surd part)."""
-    u = value if value.b > 0 else value.conj()
-    return {"kind": "surd", "u": str(u.a), "v": str(u.b), "d": u.d}
+    (d,), (a, b) = value.generators, value.coords
+    return {"kind": "surd", "u": str(a), "v": str(abs(b)), "d": d}
 
 
 def J(value) -> dict:
@@ -1091,12 +1057,8 @@ def _check_cell(d: int, jkey: str):
         if h != 1 or poly(v) != 0:
             return f"{v} is not the D={d} invariant"
     elif j["kind"] == "surd":
-        u = Q2(Fraction(j["u"]), Fraction(j["v"]), j["d"])
-        acc = Q2(0, 0, j["d"])
-        for c in poly.coeffs[::-1]:
-            acc = acc * u
-            acc = Q2(acc.a + Fraction(c), acc.b, j["d"])
-        if h != 2 or not (acc.a == 0 and acc.b == 0):
+        u = Q2(j["u"], j["v"], j["d"])
+        if h != 2 or poly(u):
             return f"surd is not a root of H({d})"
     else:
         gens = tuple(j["gens"])
@@ -1137,17 +1099,22 @@ def verify() -> list[str]:
     return problems
 
 
+def tables_text() -> str:
+    """The text of cm_tables.json."""
+    doc = {
+        "format": 1,
+        "levels": {str(n): TABLES[n] for n in sorted(TABLES)},
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
 def main() -> int:
     problems = verify()
     for p in problems:
         print("MISMATCH:", p)
     if problems:
         return 1
-    doc = {
-        "format": 1,
-        "levels": {str(n): TABLES[n] for n in sorted(TABLES)},
-    }
-    OUT.write_text(json.dumps(doc, indent=1) + "\n")
+    OUT.write_text(tables_text())
     n_rows = sum(len(v) for v in TABLES.values())
     n_flag = sum(1 for v in TABLES.values() for r in v if "anomaly" in r)
     print(f"wrote {OUT.name}: {len(TABLES)} levels, {n_rows} rows, {n_flag} flagged")
