@@ -9,8 +9,8 @@ decimal/fraction string, so reruns are bit-identical byte for byte.
 "meta"}`` whose meta section carries wall-clock timings; timings never
 appear in the data section.
 
-Exit codes: 0 success; 2 validation mismatch; 3 malformed input;
-4 precision or size budget exceeded.
+Exit codes: 0 success; 2 validation mismatch, or a report that failed its
+own exact checks; 3 malformed input; 4 precision or size budget exceeded.
 
 Polynomial coefficients are typed on the command line leading term
 first (the way they are written on paper: ``--minpoly 1 -54000`` is
@@ -24,22 +24,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Optional
 
-from .algnum import (
-    IntPolynomial,
-    MultiQuadElement,
-    factor_rational,
-    field_label,
-    identify_multiquadratic,
-    poly_str,
-    quadratic_surd_roots,
-)
+from .algnum import IntPolynomial, MultiQuadElement, field_label, poly_str
 from .cm import _class_polynomial_default, identify_cm
 from .errors import (
     DatasetError,
@@ -57,9 +46,10 @@ from .hyperelliptic import INF_MINUS, CurvePoint, SexticCurve, search_points
 from .jpipeline import (
     PRECISION_MARGIN,
     LevelContext,
+    PointReport,
     j_expression,
-    j_polynomial_at_point,
     expression_to_json,
+    point_report,
     required_precision,
 )
 from .modular import (
@@ -71,7 +61,7 @@ from .modular import (
     validate_dataset,
 )
 
-__all__ = ["FactorReport", "PointReport", "point_report", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -123,88 +113,7 @@ def _parse_coeff_args(tokens, what: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# point reports
-
-
-@dataclass(frozen=True)
-class FactorReport:
-    """One irreducible factor of a j-polynomial, with its field."""
-
-    poly: IntPolynomial
-    multiplicity: int
-    field_kind: str  # "rational" | "quadratic" | "multiquadratic" | "opaque"
-    generators: tuple  # squarefree radicands when the field is identified
-    roots: tuple  # exact presentations (Fraction | MultiQuadElement)
-
-
-@dataclass(frozen=True)
-class PointReport:
-    """Everything the pipeline derives at one rational point."""
-
-    level: int
-    point: CurvePoint
-    j_coefficients: tuple  # monic, constant term first
-    factors: tuple
-    cm_entries: tuple  # Optional[int] discriminant per factor
-    timing: float
-
-
-def _field_and_roots(f: IntPolynomial):
-    """Identify the field cut out by an irreducible factor, with exact roots."""
-    if f.degree == 1:
-        c0, c1 = f.coeffs
-        return "rational", (), (Fraction(-c0, c1),)
-    if f.degree == 2:
-        root, conj = quadratic_surd_roots(f)
-        return "quadratic", root.generators, (root, conj)
-    if f.degree in (4, 8, 16):
-        elem = identify_multiquadratic(f)
-        if elem is not None:
-            return "multiquadratic", tuple(elem.generators), (elem,)
-    return "opaque", (), ()
-
-
-def _check_roots(f: IntPolynomial, roots: tuple) -> None:
-    """Every claimed root, rational or field element, must satisfy its factor."""
-    for r in roots:
-        if f(r):
-            raise QstarError(f"internal: claimed root {r} does not satisfy {poly_str(f)}")
-
-
-def _check_product(factors: tuple, monic_coeffs: tuple) -> None:
-    """The factorization must multiply back to the monic j-polynomial."""
-    prod = IntPolynomial((1,))
-    for fr in factors:
-        for _ in range(fr.multiplicity):
-            prod = prod * fr.poly
-    if tuple(Fraction(c, prod.leading) for c in prod.coeffs) != tuple(monic_coeffs):
-        raise QstarError("internal: factors do not multiply back to the j-polynomial")
-
-
-def point_report(ctx: LevelContext, p: CurvePoint) -> PointReport:
-    """Derive, factor, and identify the j-polynomial at one point."""
-    t0 = time.perf_counter()
-    coeffs = j_polynomial_at_point(ctx, p)
-    den = lcm(*(c.denominator for c in coeffs))
-    ipoly = IntPolynomial([int(c * den) for c in coeffs])
-    factors = []
-    cm_entries = []
-    for f, mult in factor_rational(ipoly):
-        kind, gens, roots = _field_and_roots(f)
-        _check_roots(f, roots)
-        factors.append(FactorReport(f, mult, kind, gens, roots))
-        # CM j-invariants are algebraic integers: only monic factors qualify
-        cm_entries.append(identify_cm(f) if f.is_monic() else None)
-    factors = tuple(factors)
-    _check_product(factors, coeffs)
-    return PointReport(
-        level=ctx.level,
-        point=p,
-        j_coefficients=coeffs,
-        factors=factors,
-        cm_entries=tuple(cm_entries),
-        timing=time.perf_counter() - t0,
-    )
+# rendering point reports
 
 
 def _root_json(r) -> dict:
@@ -261,40 +170,6 @@ def _report_data(r: PointReport) -> dict:
         ],
         "cm_entries": [str(d) if d is not None else None for d in r.cm_entries],
     }
-
-
-# ---------------------------------------------------------------------------
-# worker pool (fan out per point / per level, assemble in input order)
-
-_POOL_CTX: Optional[LevelContext] = None
-
-
-def _pool_init(ctx: LevelContext) -> None:
-    global _POOL_CTX
-    _POOL_CTX = ctx
-
-
-def _pool_point(p: CurvePoint) -> PointReport:
-    return point_report(_POOL_CTX, p)
-
-
-def _validate_level(level: int):
-    return validate_dataset(load_dataset(level), load_table()[level].curve)
-
-
-def _fan_out(worker, items, jobs: int, initializer=None, initargs=()):
-    if jobs <= 1 or len(items) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return [worker(item) for item in items]
-    try:
-        mp = get_context("fork")
-    except ValueError:
-        mp = get_context()
-    with mp.Pool(
-        processes=min(jobs, len(items)), initializer=initializer, initargs=initargs
-    ) as pool:
-        return pool.map(worker, items)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +290,7 @@ def cmd_pipeline(args) -> int:
             if p.kind != "infinity_plus"
         ]
         source = "search"
-    if args.jobs > 1:
-        for i in range(1, ctx.m + 1):
-            j_expression(ctx, i)  # share the heavy step across workers
-    reports = _fan_out(_pool_point, points, args.jobs, _pool_init, (ctx,))
+    reports = [point_report(ctx, p) for p in points]
     data = {
         "level": str(ctx.level),
         "curve": _curve_json(curve),
@@ -505,7 +377,8 @@ def cmd_identify_cm(args) -> int:
 
 def cmd_validate_all(args) -> int:
     levels = bundled_dataset_levels()
-    reports = _fan_out(_validate_level, levels, args.jobs)
+    table = load_table()
+    reports = [validate_dataset(load_dataset(n), table[n].curve) for n in levels]
     per_level = {}
     all_match = True
     for level, report in zip(levels, reports):
@@ -581,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--allow-large", action="store_true", help="permit levels with divisor sum > 150"
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--out", help="also write {data, meta} envelope to this file")
     p.set_defaults(func=cmd_pipeline)
 
@@ -612,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "validate-all", help="check every bundled dataset against the reference models"
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.set_defaults(func=cmd_validate_all)
 
     return parser
@@ -632,6 +503,9 @@ def main(argv=None) -> int:
     except (InputError, DatasetError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except QstarError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -8,16 +8,33 @@ basis monomial has a distinct pole order, making the system triangular) and
 certified by the vanishing of the residual tail.  Evaluating the
 combinations at a rational point of the sextic model and assembling
 z^m + sum (-1)^i J_i z^(m-i) gives the monic polynomial whose roots are the
-j-invariants attached to that point.
+j-invariants attached to that point.  point_report factors that
+polynomial over Q, identifies the field and the CM discriminant of each
+factor, and checks its own claims exactly before returning them.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .errors import InconsistentDatasetError, InputError, InsufficientPrecisionError
+from .algnum import (
+    IntPolynomial,
+    factor_rational,
+    identify_multiquadratic,
+    poly_str,
+    quadratic_surd_roots,
+)
+from .cm import identify_cm
+from .errors import (
+    InconsistentDatasetError,
+    InputError,
+    InsufficientPrecisionError,
+    QstarError,
+)
 from .hyperelliptic import (
     CurvePoint,
     Monomial,
@@ -44,6 +61,9 @@ __all__ = [
     "j_expression",
     "evaluate_expression",
     "j_polynomial_at_point",
+    "FactorReport",
+    "PointReport",
+    "point_report",
     "required_precision",
     "expression_to_json",
 ]
@@ -295,6 +315,91 @@ def j_polynomial_at_point(ctx: LevelContext, p: CurvePoint) -> tuple:
         value = evaluate_expression(j_expression(ctx, i), fvals)
         coeffs[ctx.m - i] = value if i % 2 == 0 else -value
     return tuple(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# point reports
+
+
+@dataclass(frozen=True)
+class FactorReport:
+    """One irreducible factor of a j-polynomial, with its field."""
+
+    poly: IntPolynomial
+    multiplicity: int
+    field_kind: str  # "rational" | "quadratic" | "multiquadratic" | "opaque"
+    generators: tuple  # squarefree radicands when the field is identified
+    roots: tuple  # exact presentations (Fraction | MultiQuadElement)
+
+
+@dataclass(frozen=True)
+class PointReport:
+    """Everything the pipeline derives at one rational point."""
+
+    level: int
+    point: CurvePoint
+    j_coefficients: tuple  # monic, constant term first
+    factors: tuple
+    cm_entries: tuple  # Optional[int] discriminant per factor
+    timing: float
+
+
+def _field_and_roots(f: IntPolynomial):
+    """Identify the field cut out by an irreducible factor, with exact roots."""
+    if f.degree == 1:
+        c0, c1 = f.coeffs
+        return "rational", (), (Fraction(-c0, c1),)
+    if f.degree == 2:
+        root, conj = quadratic_surd_roots(f)
+        return "quadratic", root.generators, (root, conj)
+    if f.degree in (4, 8, 16):
+        elem = identify_multiquadratic(f)
+        if elem is not None:
+            return "multiquadratic", tuple(elem.generators), (elem,)
+    return "opaque", (), ()
+
+
+def _check_roots(f: IntPolynomial, roots: tuple) -> None:
+    """Every claimed root, rational or field element, must satisfy its factor."""
+    for r in roots:
+        if f(r):
+            raise QstarError(f"internal: claimed root {r} does not satisfy {poly_str(f)}")
+
+
+def _check_product(factors: tuple, monic_coeffs: tuple) -> None:
+    """The factorization must multiply back to the monic j-polynomial."""
+    prod = IntPolynomial((1,))
+    for fr in factors:
+        for _ in range(fr.multiplicity):
+            prod = prod * fr.poly
+    if tuple(Fraction(c, prod.leading) for c in prod.coeffs) != tuple(monic_coeffs):
+        raise QstarError("internal: factors do not multiply back to the j-polynomial")
+
+
+def point_report(ctx: LevelContext, p: CurvePoint) -> PointReport:
+    """Derive, factor, and identify the j-polynomial at one point."""
+    t0 = time.perf_counter()
+    coeffs = j_polynomial_at_point(ctx, p)
+    den = lcm(*(c.denominator for c in coeffs))
+    ipoly = IntPolynomial([int(c * den) for c in coeffs])
+    factors = []
+    cm_entries = []
+    for f, mult in factor_rational(ipoly):
+        kind, gens, roots = _field_and_roots(f)
+        _check_roots(f, roots)
+        factors.append(FactorReport(f, mult, kind, gens, roots))
+        # CM j-invariants are algebraic integers: only monic factors qualify
+        cm_entries.append(identify_cm(f) if f.is_monic() else None)
+    factors = tuple(factors)
+    _check_product(factors, coeffs)
+    return PointReport(
+        level=ctx.level,
+        point=p,
+        j_coefficients=coeffs,
+        factors=factors,
+        cm_entries=tuple(cm_entries),
+        timing=time.perf_counter() - t0,
+    )
 
 
 # ---------------------------------------------------------------------------

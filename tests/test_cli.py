@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import iv
 
 import qstar.cli
 import qstar.cm
+import qstar.jpipeline
 from qstar.algnum import (
     IntPolynomial,
     MultiQuadElement,
@@ -21,6 +23,8 @@ from qstar.cm import class_polynomial
 from qstar.errors import FactorizationError, PrecisionCapError, QstarError
 from qstar.fixtures import load_table
 from qstar.modular import dataset_to_json, load_dataset
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -160,13 +164,11 @@ def test_pipeline_reports_exclude_cusp():
     assert len(kinds) == 9
 
 
-def test_pipeline_rerun_and_jobs_bit_identical():
+def test_pipeline_rerun_bit_identical():
     first = run_cli("pipeline", "67")
     second = run_cli("pipeline", "67")
-    parallel = run_cli("pipeline", "67", "--jobs", "3")
     assert first.returncode == EXIT_OK
     assert first.stdout == second.stdout
-    assert first.stdout == parallel.stdout
 
 
 def test_pipeline_out_envelope(tmp_path):
@@ -192,7 +194,7 @@ def test_pipeline_quartic_field_identification():
 
 
 def test_check_roots_substitutes_every_kind_of_root():
-    check = qstar.cli._check_roots
+    check = qstar.jpipeline._check_roots
     linear = IntPolynomial((-54000, 1))
     quadratic = IntPolynomial((-134217728000, 117964800, 1))  # H_-35
     quartic = IntPolynomial((12544, 0, 156, 0, 1))  # sqrt(17) + sqrt(-95)
@@ -406,8 +408,6 @@ def test_validate_all_bundled_levels():
     assert sorted(data["levels"]) == ["107", "67", "73", "85"]
     assert data["all_match"] is True
     assert all(row["matches"] for row in data["levels"].values())
-    parallel = run_cli("validate-all", "--jobs", "4")
-    assert parallel.stdout == proc.stdout
 
 
 # --- shared plumbing ----------------------------------------------------------
@@ -416,6 +416,8 @@ def test_validate_all_bundled_levels():
 def test_usage_error_exit_code():
     assert run_cli("bogus-command").returncode == EXIT_INPUT
     assert run_cli("pipeline").returncode == EXIT_INPUT  # missing dataset arg
+    assert run_cli("pipeline", "67", "--jobs", "2").returncode == EXIT_INPUT
+    assert run_cli("validate-all", "--jobs", "2").returncode == EXIT_INPUT
 
 
 def test_help_exits_zero():
@@ -427,11 +429,49 @@ def test_factoring_budget_exit_code(monkeypatch, capsys):
     def exhausted(poly):
         raise FactorizationError("integer factoring budget exhausted")
 
-    monkeypatch.setattr(qstar.cli, "factor_rational", exhausted)
+    monkeypatch.setattr(qstar.jpipeline, "factor_rational", exhausted)
     assert qstar.cli.main(["pipeline", "67", "--point", "inf-"]) == EXIT_PRECISION
     out, err = capsys.readouterr()
     assert out == ""
     assert "precision error" in err and "budget" in err
+
+
+def test_failed_root_check_is_an_internal_error_exit_code(monkeypatch, capsys):
+    def off_by_a_third(f):
+        root, conj = quadratic_surd_roots(f)
+        a, b = root.coords
+        return MultiQuadElement(root.generators, (a + Fraction(1, 3), b)), conj
+
+    # level 73 has quadratic factors, whose surd roots are re-checked
+    monkeypatch.setattr(qstar.jpipeline, "quadratic_surd_roots", off_by_a_third)
+    assert qstar.cli.main(["pipeline", "73", "--height", "100"]) == EXIT_MISMATCH
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ") and "claimed root" in err
+    assert "Traceback" not in err
+
+
+def test_traced_pipeline_records_the_point_report(tmp_path, monkeypatch):
+    # perfbench/tracing.py wraps ("qstar.cli", "point_report") wherever it is held
+    assert qstar.cli.point_report is qstar.jpipeline.point_report
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    args = ["pipeline", "67", "--point", "inf-"]
+    plain = subprocess.run(
+        [sys.executable, "-m", "qstar.cli", *args],
+        cwd=ROOT, env=env, capture_output=True, check=True,
+    )
+    spans_file = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"),
+         "--spans", str(spans_file), "cli", *args],
+        cwd=ROOT, env=env, capture_output=True, check=True,
+    )
+    assert traced.stdout == plain.stdout
+    m = tracing.layer_metrics(json.loads(spans_file.read_text()))
+    assert m["cli.point_report.calls"] == 1
 
 
 def test_precision_cap_raises_and_restores_iv_prec(monkeypatch):

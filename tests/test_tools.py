@@ -60,3 +60,18 @@ def test_cm_table_surd_cell_check_substitutes_into_the_class_polynomial():
         bad = dict(good, **{key: str(int(good[key]) + 1)})
         problem = make_cm_tables._check_cell(-35, json.dumps(bad, sort_keys=True))
         assert problem == "surd is not a root of H(-35)"
+
+
+@pytest.mark.parametrize(
+    "d, good, bad",
+    # h = 8 and h = 16 are above IDENT_DEGREE_MAX, so only the genus
+    # field route checks these cells
+    [(-1155, [5, 21, 33], [5, 21, 35]), (-5460, [3, 5, 7, 13], [3, 5, 7, 17])],
+)
+def test_cm_table_genus_field_check_rejects_a_wrong_generator(d, good, bad):
+    def cell(gens):
+        return json.dumps(make_cm_tables.Fld(*gens), sort_keys=True)
+
+    assert make_cm_tables._check_cell(d, cell(good)) is None
+    problem = make_cm_tables._check_cell(d, cell(bad))
+    assert problem == f"gens {tuple(bad)} do not match the genus field of {d}"

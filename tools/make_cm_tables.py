@@ -18,11 +18,17 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qstar.algnum import MultiQuadElement, identify_multiquadratic, squarefree_kernel
+from qstar.algnum import (
+    MultiQuadElement,
+    _factor_into_primes,
+    identify_multiquadratic,
+    squarefree_kernel,
+)
 from qstar.cm import class_number, class_polynomial, one_class_per_genus
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "qstar" / "data" / "cm_tables.json"
@@ -994,23 +1000,6 @@ def _H(d: int):
     return class_polynomial(d).poly
 
 
-def _odd_primes_of(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    while n % 2 == 0:
-        n //= 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_fundamental(d: int) -> bool:
     if d % 4 == 1:
         return squarefree_kernel(d)[1] == 1
@@ -1028,20 +1017,15 @@ def _genus_real_span(d: int) -> frozenset:
     is the real subfield of the genus field, i.e. the positive part of the
     span of those prime discriminants.
     """
-    discs = []
-    rem = d
-    for p in _odd_primes_of(d):
-        ps = p if p % 4 == 1 else -p
-        discs.append(ps)
-        rem //= ps
+    odd_primes: dict = {}
+    _factor_into_primes(-d // (d & -d), [6_000_000], odd_primes)  # odd part of |d|
+    discs = [p if p % 4 == 1 else -p for p in odd_primes]
+    rem = d // prod(discs)
     if rem != 1:
         if rem not in (-4, 8, -8):
             raise ValueError(f"{d} is not a prime-discriminant product")
         discs.append(rem)
-    span = {1}
-    for g in discs:
-        span |= {squarefree_kernel(g * s)[0] for s in span}
-    return frozenset(x for x in span if x > 1)
+    return frozenset(x for x in _span(discs) if x > 1)
 
 
 @lru_cache(maxsize=None)
