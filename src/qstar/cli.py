@@ -134,7 +134,7 @@ def _root_json(r) -> dict:
             "generators": [str(g) for g in r.generators],
             "coordinates": [str(c) for c in r.coords],
         }
-    raise QstarError(f"internal: unknown root presentation {r!r}")
+    raise QstarError(f"unknown root presentation {r!r}")
 
 
 def _field_json(kind: str, gens: tuple, f: IntPolynomial) -> dict:

@@ -10,8 +10,8 @@ A second table records, for each known rational point, the CM discriminants
 and exact j-invariants (or the field the j-invariant generates when its
 degree exceeds 2).  Cells whose source printing is internally inconsistent
 carry an ``anomaly`` note; except for the one row marked ``as_printed``,
-the machine-readable values are verified against the class polynomials at
-build time.
+the machine-readable values are verified against the class polynomials by
+``tools/check_cm_tables.py``, which the test suite runs.
 """
 
 from __future__ import annotations

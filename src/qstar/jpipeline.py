@@ -363,7 +363,7 @@ def _check_roots(f: IntPolynomial, roots: tuple) -> None:
     """Every claimed root, rational or field element, must satisfy its factor."""
     for r in roots:
         if f(r):
-            raise QstarError(f"internal: claimed root {r} does not satisfy {poly_str(f)}")
+            raise QstarError(f"claimed root {r} does not satisfy {poly_str(f)}")
 
 
 def _check_product(factors: tuple, monic_coeffs: tuple) -> None:
@@ -373,7 +373,7 @@ def _check_product(factors: tuple, monic_coeffs: tuple) -> None:
         for _ in range(fr.multiplicity):
             prod = prod * fr.poly
     if tuple(Fraction(c, prod.leading) for c in prod.coeffs) != tuple(monic_coeffs):
-        raise QstarError("internal: factors do not multiply back to the j-polynomial")
+        raise QstarError("factors do not multiply back to the j-polynomial")
 
 
 def point_report(ctx: LevelContext, p: CurvePoint) -> PointReport:

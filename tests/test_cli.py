@@ -447,7 +447,21 @@ def test_failed_root_check_is_an_internal_error_exit_code(monkeypatch, capsys):
     assert qstar.cli.main(["pipeline", "73", "--height", "100"]) == EXIT_MISMATCH
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("internal error: ") and "claimed root" in err
+    assert err.startswith("internal error: claimed root")
+    assert "Traceback" not in err
+
+
+def test_failed_product_check_is_an_internal_error_exit_code(monkeypatch, capsys):
+    factor_rational = qstar.jpipeline.factor_rational
+
+    def drop_first_factor(poly):
+        return list(factor_rational(poly))[1:]
+
+    monkeypatch.setattr(qstar.jpipeline, "factor_rational", drop_first_factor)
+    assert qstar.cli.main(["pipeline", "67", "--point", "inf-"]) == EXIT_MISMATCH
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: factors do not multiply back")
     assert "Traceback" not in err
 
 
