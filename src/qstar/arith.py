@@ -38,3 +38,8 @@ def unique_integer(x):
     lo = libmp.to_int(a, "c")
     hi = libmp.to_int(b, "f")
     return lo if lo == hi else None
+
+
+def ceil_upper(x) -> int:
+    """The least integer at or above every point of the real interval x."""
+    return libmp.to_int(x._mpi_[1], "c")

@@ -373,6 +373,20 @@ def test_identify_cm_no_match():
     assert data["match"] is None
 
 
+def test_identify_cm_huge_constant_answers_quickly():
+    # x - 10**200: a window of about 21,600 discriminants, affordable only
+    # when their class numbers are counted in one pass
+    args = ["identify-cm", "--minpoly", "1", "-1" + 200 * "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qstar.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["match"] is None
+
+
 def test_identify_cm_builds_matched_polynomial_once(monkeypatch, capsys):
     built = []
 

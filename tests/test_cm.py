@@ -3,8 +3,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from mpmath import iv
 
 import qstar.cm
+from qstar.arith import iv_precision
 from qstar.algnum import IntPolynomial
 from qstar.cm import (
     ClassPolynomial,
@@ -16,6 +18,7 @@ from qstar.cm import (
     reduced_forms,
 )
 from qstar.errors import InputError
+from qstar.series import j_expansion
 
 
 def valid_discriminants(lo: int, hi: int = 3):
@@ -147,9 +150,12 @@ def genus_count_exponent(D):
 
 def test_one_class_per_genus_matches_genus_count_oracle():
     # exponent <= 2 iff each genus holds one class, i.e. h(D) = 2**(mu - 1)
+    one_pass = qstar.cm._class_numbers(2000)
     for D in valid_discriminants(2000):
         expected = class_number(D) == 2 ** (genus_count_exponent(D) - 1)
         assert one_class_per_genus(D) == expected, D
+        assert one_pass[-D] == class_number(D), D
+    assert all(one_pass[n] == 0 for n in range(2001) if n % 4 in (1, 2))
 
 
 # every CM discriminant reported by the bundled result tables (one cell
@@ -303,7 +309,30 @@ def test_identify_cm_roundtrip():
     for D in valid_discriminants(400):
         if class_number(D) > 16:
             continue
-        assert identify_cm(class_polynomial(D).poly) == D, D
+        g = class_polynomial(D).poly
+        assert identify_cm(g) == D, D
+        # the proven window holds D, and the split-prime screen never
+        # rejects D for its own class polynomial
+        assert qstar.cm._cm_window(g) >= -D, D
+        assert not qstar.cm._screen_rejects(qstar.cm._split_primes(g), D), D
+
+
+def test_j_tail_bound_from_the_series():
+    # |j(tau) - 1/q| <= sum c_n |q|**n with c_n >= 0 and |q| <= e^{-pi sqrt 3}
+    # on the fundamental domain; past N terms, c_n <= 2**(19 isqrt(n) + 19)
+    # and isqrt(n) <= n/8 bound the tail by a geometric series of ratio r
+    N = 64
+    series = j_expansion(N + 1)
+    with iv_precision(80):
+        qmax = iv.exp(-iv.pi * iv.sqrt(3))
+        head = sum(int(series.coeff(n)) * qmax**n for n in range(N + 1))
+        r = iv.mpf(2) ** (iv.mpf(19) / 8) * qmax  # 2**(19/8) * qmax
+        assert r.b < iv.mpf(1) / 32
+        tail = iv.mpf(2) ** 19 * r ** (N + 1) / (1 - r)
+        total = head + tail
+    assert all(int(series.coeff(n)) >= 0 for n in range(N + 1))
+    assert total.b <= qstar.cm._J_TAIL_BOUND
+    assert total.a > qstar.cm._J_TAIL_BOUND - 1  # 2078.81...
 
 
 def test_identify_cm_stops_at_the_match(monkeypatch):
@@ -319,6 +348,7 @@ def test_identify_cm_stops_at_the_match(monkeypatch):
     assert identify_cm(g) == -595
     assert built[-1] == -595
     assert all(D >= -595 for D in built), built
+    assert len(built) <= 2, built
 
 
 # -- bundled CM table ----------------------------------------------------
