@@ -238,35 +238,38 @@ _J_TAIL_BOUND = 2079
 # candidates are screened at this many odd primes p with g squarefree mod p
 _SCREEN_PRIMES = 24
 
+# the largest CM window identify_cm scans.  Every D with 0 < h(D) <= 16 and
+# |D| <= 300,000 has |D| <= 35,275, and the window of such an H_D is below
+# 36,000, so the cap refuses none of them.
+_WINDOW_CAP = 100_000
+
 
 def identify_cm(g: IntPolynomial):
     """The CM discriminant whose class polynomial equals g, or None.
 
-    Every D with H_D = g lies in the proven window |D| <= _cm_window(g).  The
-    class numbers of the whole window come from one pass over reduced forms,
-    and only discriminants with h(D) = deg g go on.  A float screen on the
-    size of the constant term drops some of them; one-class-per-genus
-    candidates come first, then the rest, each by ascending |D|.  Before H_D
-    is built, D must pass the exact split-prime screen of _screen_rejects.
-    The first exact match is the answer: distinct discriminants have
-    disjoint sets of j-invariants, so at most one H_D equals g.
+    Every D with H_D = g lies in the proven window |D| <= _cm_window(g); a
+    window above _WINDOW_CAP raises PrecisionError.  The class numbers of
+    the whole window come from one pass over reduced forms, and the
+    candidates are the D with h(D) = deg g, by ascending |D|.  Each must
+    pass the exact split-prime screen of _screen_rejects before H_D is
+    built, and the first exact match is the answer: distinct discriminants
+    have disjoint sets of j-invariants, so at most one H_D equals g.  A None
+    therefore rests on exact steps only.
     """
     if not 1 <= g.degree <= 16:
         raise InputError("CM lookup supports degree 1 through 16")
     if not g.is_monic():
         raise InputError("CM lookup needs a monic polynomial")
-    deg = g.degree
     if len(_zgcd_poly(g.coeffs, _zderiv(g.coeffs))) > 1:
         # the j-invariants of distinct classes are distinct, so every H_D is
         # squarefree (and a g that is not would leave the screen no prime)
         return None
-    log_c0 = math.log(abs(g.coeffs[0])) if g.coeffs[0] else None
-    candidates = [
-        -n
-        for n, h in enumerate(_class_numbers(_cm_window(g)))
-        if h == deg and _constant_size_plausible(log_c0, -n, _reduced_forms(-n))
-    ]
-    candidates.sort(key=lambda D: (not one_class_per_genus(D), -D))
+    window = _cm_window(g)
+    if window > _WINDOW_CAP:
+        raise PrecisionError(
+            f"CM lookup window |D| <= {window} exceeds the budget of {_WINDOW_CAP}"
+        )
+    candidates = [-n for n, h in enumerate(_class_numbers(window)) if h == g.degree]
     screen = _split_primes(g) if candidates else ()
     for D in candidates:
         if _screen_rejects(screen, D):
@@ -386,15 +389,3 @@ def _prime_form_is_principal(D: int, p: int) -> bool:
         if c >= a:
             return a == 1
         a, b = c, -b
-
-
-def _constant_size_plausible(log_c0, D: int, forms: tuple) -> bool:
-    """Cheap float screen: |H_D(0)| is about exp(pi sqrt|D| sum 1/a)."""
-    if log_c0 is None:
-        # constant term 0 means j = 0 is a root: only D = -3 qualifies
-        return D == -3
-    upper = sum(
-        max(math.pi * math.sqrt(-D) / f.a, 6.7) + 2.0 for f in forms
-    )
-    lower = math.pi * math.sqrt(-D) - 40.0
-    return lower <= log_c0 <= upper

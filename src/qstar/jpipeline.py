@@ -37,25 +37,19 @@ from .errors import (
 )
 from .hyperelliptic import (
     CurvePoint,
+    FGenerators,
     Monomial,
     SexticCurve,
     evaluate_f,
     monomial_for_order,
     rr_generators,
 )
-from .modular import (
-    ModularDataset,
-    coordinate_series,
-    load_dataset,
-    relation_residual,
-)
-from .fixtures import fixture_curve
+from .modular import ModularDataset, coordinate_series, derive_equation
 from .series import LaurentSeries, j_expansion
 
 __all__ = [
     "FExpression",
     "LevelContext",
-    "f_series",
     "symmetric_j_series",
     "express_in_basis",
     "j_expression",
@@ -109,14 +103,13 @@ class FExpression:
 
 
 def _divisors_squarefree(n: int) -> tuple:
+    """The divisors of a square-free n, ascending."""
     out = [1]
     m = n
     p = 2
     while p * p <= m:
         if m % p == 0:
             m //= p
-            if m % p == 0:
-                raise InputError(f"level {n} is not square-free")
             out.extend(d * p for d in list(out))
         p += 1
     if m > 1:
@@ -125,68 +118,61 @@ def _divisors_squarefree(n: int) -> tuple:
 
 
 def required_precision(level: int) -> int:
-    """Dataset precision needed to run the pipeline at this level."""
+    """Dataset precision needed to run the pipeline at this square-free level."""
     return sum(_divisors_squarefree(level)) + PRECISION_MARGIN
 
 
 @dataclass(frozen=True)
 class LevelContext:
-    """Immutable bundle of everything the pipeline needs for one level."""
+    """Immutable bundle of everything the pipeline needs for one level.
 
-    level: int
-    divisors: tuple
-    m: int
-    curve: SexticCurve
+    Built only by from_data, which derives the sextic model from the dataset
+    and expands its generators f3, f4, f5 as q-series.
+    """
+
     dataset: ModularDataset
+    divisors: tuple
+    curve: SexticCurve
+    generators: FGenerators
     f_series: tuple  # (f3, f4, f5) LaurentSeries
-    sigma: int
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
+    @property
+    def level(self) -> int:
+        return self.dataset.level
+
+    @property
+    def m(self) -> int:
+        return len(self.divisors)
+
+    @property
+    def sigma(self) -> int:
+        return sum(self.divisors)
+
     @classmethod
-    def from_data(cls, curve: SexticCurve, dataset: ModularDataset) -> "LevelContext":
-        divisors = _divisors_squarefree(dataset.level)
+    def from_data(cls, dataset: ModularDataset) -> "LevelContext":
+        """Check the precision, derive the model, and expand f3, f4, f5."""
+        need = required_precision(dataset.level)
+        if dataset.precision < need:
+            raise InsufficientPrecisionError(
+                f"level {dataset.level} needs dataset precision >= {need}, "
+                f"got {dataset.precision}"
+            )
+        curve = derive_equation(dataset)
+        gens = rr_generators(curve)
+        x, y = coordinate_series(dataset)  # cached by derive_equation's call
+        fs = []
+        for i, g in enumerate((gens.f3, gens.f4, gens.f5), start=3):
+            s = g.evaluate_series(x, y)
+            assert s.val == -i and s.coeff(-i) == 1, f"f{i} normalization broke"
+            fs.append(s)
         return cls(
-            level=dataset.level,
-            divisors=divisors,
-            m=len(divisors),
-            curve=curve,
             dataset=dataset,
-            f_series=f_series(curve, dataset),
-            sigma=sum(divisors),
+            divisors=_divisors_squarefree(dataset.level),
+            curve=curve,
+            generators=gens,
+            f_series=tuple(fs),
         )
-
-    @classmethod
-    def for_level(cls, level: int) -> "LevelContext":
-        return cls.from_data(fixture_curve(level), load_dataset(level))
-
-
-# ---------------------------------------------------------------------------
-# the f-generator q-expansions
-
-
-def f_series(curve: SexticCurve, dataset: ModularDataset):
-    """(f3, f4, f5) as q-expansions through the dataset's coordinates.
-
-    Verifies that the coordinates actually satisfy this curve's equation
-    (the generators' pole structure is meaningless on a mismatched pair).
-    """
-    if dataset.precision < 16:
-        raise InsufficientPrecisionError(
-            f"f-series need dataset precision >= 16, got {dataset.precision}"
-        )
-    x, y = coordinate_series(dataset)
-    if not relation_residual(x, y, curve.f_coeffs()).is_zero():
-        raise InputError(
-            f"curve {curve} is not satisfied by the level-{dataset.level} "
-            "dataset coordinates"
-        )
-    gens = rr_generators(curve)
-    out = []
-    for i, g in enumerate((gens.f3, gens.f4, gens.f5), start=3):
-        s = g.evaluate_series(x, y)
-        assert s.val == -i and s.coeff(-i) == 1, f"f{i} normalization broke"
-        out.append(s)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +197,6 @@ def symmetric_j_series(ctx: LevelContext, i: int) -> LaurentSeries:
     """The i-th elementary symmetric function of {j(dz) : d | N} as a series."""
     if not 1 <= i <= ctx.m:
         raise InputError(f"index {i} outside 1..{ctx.m}")
-    need = ctx.sigma + PRECISION_MARGIN
-    if ctx.dataset.precision < need:
-        raise InsufficientPrecisionError(
-            f"level {ctx.level} needs dataset precision >= {need}, "
-            f"got {ctx.dataset.precision}"
-        )
     if "esym" not in ctx._cache:
         esym = _elementary_symmetric(ctx)
         assert esym[-1].val == -ctx.sigma, "product pole order must be sigma"
@@ -307,9 +287,7 @@ def j_polynomial_at_point(ctx: LevelContext, p: CurvePoint) -> tuple:
     are the j-invariants attached to the point."""
     if p.kind == "infinity_plus":
         raise InputError("the cusp does not carry j-invariants")
-    if "gens" not in ctx._cache:
-        ctx._cache["gens"] = rr_generators(ctx.curve)
-    fvals = evaluate_f(ctx._cache["gens"], p)
+    fvals = evaluate_f(ctx.generators, p)
     coeffs = [Fraction(0)] * ctx.m + [Fraction(1)]
     for i in range(1, ctx.m + 1):
         value = evaluate_expression(j_expression(ctx, i), fvals)

@@ -149,10 +149,12 @@ def coordinates(h1: LaurentSeries, h2: LaurentSeries) -> tuple:
     return x, -(x.q_derivative()) * inv
 
 
+@lru_cache(maxsize=16)
 def coordinate_series(data: ModularDataset):
     """The model functions (x, y) of the dataset's basis pair as series.
 
     x has valuation -1 and y valuation -3, both with leading coefficient 1.
+    Cached, so deriving the model and expanding its generators share one pass.
     """
     if data.precision < 10:
         raise InsufficientPrecisionError(

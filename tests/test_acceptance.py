@@ -128,7 +128,7 @@ def test_criterion_2_equation_derivation_matches_reference_table():
 
 def test_criterion_3_j_expression_anchors_and_reconstruction():
     t0 = time.perf_counter()
-    ctx = LevelContext.for_level(67)
+    ctx = LevelContext.from_data(load_dataset(67))
     e1 = j_expression(ctx, 1)
     e2 = j_expression(ctx, 2)
     c1 = dict(e1.terms)
@@ -169,7 +169,7 @@ def test_criterion_3_j_expression_anchors_and_reconstruction():
 
 def test_criterion_4_level_67_j_values_at_rational_points():
     t0 = time.perf_counter()
-    ctx = LevelContext.for_level(67)
+    ctx = LevelContext.from_data(load_dataset(67))
 
     # the non-cuspidal point at infinity carries -32768 as a double root
     assert j_polynomial_at_point(ctx, INF_MINUS) == (
@@ -261,7 +261,7 @@ def test_criterion_7_field_identification():
 
     # the non-CM quartic at the level-85 point (3/2, -17/8) generates
     # Q(sqrt 17, sqrt -95); compare fields by radical span, not by tuple
-    ctx = LevelContext.for_level(85)
+    ctx = LevelContext.from_data(load_dataset(85))
     point = ctx.curve.point(F(3, 2), F(-17, 8))
     coeffs = j_polynomial_at_point(ctx, point)
     den = lcm(*[c.denominator for c in coeffs])

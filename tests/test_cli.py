@@ -387,6 +387,21 @@ def test_identify_cm_huge_constant_answers_quickly():
     assert json.loads(proc.stdout)["match"] is None
 
 
+def test_identify_cm_window_over_budget_exits_quickly():
+    # x - 10**4000 has a window of 8,596,408 discriminants; its class-number
+    # table alone would take minutes, so the lookup refuses it up front
+    args = ["identify-cm", "--minpoly", "1", "-1" + 4000 * "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qstar.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == EXIT_PRECISION
+    assert proc.stdout == ""
+    assert "window" in proc.stderr
+
+
 def test_identify_cm_builds_matched_polynomial_once(monkeypatch, capsys):
     built = []
 

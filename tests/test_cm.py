@@ -317,6 +317,16 @@ def test_identify_cm_roundtrip():
         assert not qstar.cm._screen_rejects(qstar.cm._split_primes(g), D), D
 
 
+def test_window_cap_refuses_no_class_polynomial_of_degree_16_or_less():
+    # past |D| = 35,275 no discriminant up to 300,000 has class number <= 16
+    h = qstar.cm._class_numbers(300_000)
+    assert [n for n in range(35_276, len(h)) if 0 < h[n] <= 16] == []
+    assert h[35_275] == 16
+    # and the window of that largest one stays well inside the cap
+    g = class_polynomial(-35_275).poly
+    assert 35_275 <= qstar.cm._cm_window(g) < qstar.cm._WINDOW_CAP
+
+
 def test_j_tail_bound_from_the_series():
     # |j(tau) - 1/q| <= sum c_n |q|**n with c_n >= 0 and |q| <= e^{-pi sqrt 3}
     # on the fundamental domain; past N terms, c_n <= 2**(19 isqrt(n) + 19)

@@ -19,13 +19,13 @@ from qstar.jpipeline import (
     expression_to_json,
     express_in_basis,
     evaluate_expression,
-    f_series,
     j_expression,
     j_polynomial_at_point,
     required_precision,
     symmetric_j_series,
 )
-from qstar.modular import load_dataset
+import qstar.modular
+from qstar.modular import dataset_from_json, dataset_to_json, load_dataset
 from qstar.series import LaurentSeries
 from qstar.fixtures import fixture_curve
 
@@ -33,7 +33,7 @@ F = Fraction
 
 
 def _ctx(level):
-    return LevelContext.for_level(level)
+    return LevelContext.from_data(load_dataset(level))
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +59,26 @@ def test_required_precision_values():
     assert required_precision(107) == 108 + PRECISION_MARGIN
 
 
-def test_context_rejects_non_squarefree():
-    with pytest.raises(InputError):
-        LevelContext.for_level(68)
+@pytest.mark.parametrize("level", [67, 73, 85, 107])
+def test_context_curve_is_the_table_curve(level):
+    assert _ctx(level).curve == fixture_curve(level)
+
+
+def test_context_derives_the_coordinates_once(monkeypatch):
+    # deriving the model and expanding f3, f4, f5 share one coordinate pass
+    data = dataset_from_json(dataset_to_json(load_dataset(85)))
+    original = qstar.modular.coordinates
+    calls = []
+
+    def counting(h1, h2):
+        calls.append(1)
+        return original(h1, h2)
+
+    monkeypatch.setattr(qstar.modular, "coordinates", counting)
+    qstar.modular.coordinate_series.cache_clear()
+    ctx = LevelContext.from_data(data)
+    assert ctx.curve == fixture_curve(85)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +111,10 @@ def test_f_series_satisfies_recurrences():
         assert d5.coeff(k) == 0
 
 
-def test_f_series_rejects_mismatched_curve():
-    wrong = fixture_curve(73)
-    data = load_dataset(67)
-    with pytest.raises(InputError):
-        f_series(wrong, data)
-
-
 def test_f_series_rejects_low_precision():
     data = load_dataset(67).truncate(15)
     with pytest.raises(InsufficientPrecisionError):
-        f_series(fixture_curve(67), data)
+        LevelContext.from_data(data)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +144,8 @@ def test_symmetric_series_index_range():
 
 def test_symmetric_series_needs_margin():
     data = load_dataset(67).truncate(required_precision(67) - 1)
-    ctx = LevelContext.from_data(fixture_curve(67), data)
-    with pytest.raises(InsufficientPrecisionError):
-        symmetric_j_series(ctx, 1)
+    with pytest.raises(InsufficientPrecisionError, match=">= 80, got 79"):
+        LevelContext.from_data(data)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +324,7 @@ def test_truncation_does_not_change_polynomials(level):
     # Any sufficiently precise dataset determines the same expressions.
     full = _ctx(level)
     data = load_dataset(level).truncate(required_precision(level))
-    lean = LevelContext.from_data(fixture_curve(level), data)
+    lean = LevelContext.from_data(data)
     for i in range(1, full.m + 1):
         assert j_expression(full, i) == j_expression(lean, i)
     pt = full.curve.point(1, 1) if level == 67 else full.curve.point(0, 1)
