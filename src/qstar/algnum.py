@@ -993,18 +993,48 @@ def _round_rational(x, den: int, tol) -> Optional[Fraction]:
 
 
 def _numeric_roots(g: IntPolynomial, prec: int):
-    with mpmath.workprec(prec + 64):
-        coeffs = [mpmath.mpf(c) for c in reversed(g.coeffs)]
+    """All roots of g to about prec bits, or None when they do not settle.
+
+    mpmath.polyroots solves once at prec/8 bits, a start that grows with the
+    precision ladder's rung. Newton steps then lift every root, doubling the
+    working precision up to prec + 64 (von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 9). g and g' are evaluated with the precision
+    padded by the coefficients' bit length, because their terms cancel down
+    to the tiny value g(r). The roots are accepted when the last correction
+    is at most 2^-(prec/2) * (max |r| + 1).
+    """
+    coarse = prec // 8
+    pad = max(abs(c).bit_length() for c in g.coeffs)
+    with mpmath.workprec(pad):
+        coeffs = [mpmath.mpf(c) for c in reversed(g.coeffs)]  # exact
+    with mpmath.workprec(coarse):
         try:
-            roots, err = mpmath.polyroots(
-                coeffs, maxsteps=200, extraprec=prec // 2, error=True
+            # polyroots stops on an absolute error of 2^-coarse, so its
+            # extra precision must cover the size of g's terms as well
+            roots = mpmath.polyroots(
+                coeffs, maxsteps=200, extraprec=coarse // 2 + pad
             )
         except mpmath.libmp.NoConvergence:
             return None
+    final = prec + 64
+    work = coarse
+    while work < final:
+        work = min(2 * work, final)
+        with mpmath.workprec(work + pad):
+            steps = []
+            for i, r in enumerate(roots):
+                value, slope = mpmath.polyval(coeffs, r, derivative=True)
+                if not slope:
+                    return None
+                step = value / slope
+                roots[i] = r - step
+                steps.append(abs(step))
+    with mpmath.workprec(final):
+        roots = [+r for r in roots]
         top = max(abs(r) for r in roots) + 1
-        if err > mpmath.mpf(2) ** (-(prec // 2)) * top:
+        if max(steps) > mpmath.mpf(2) ** (-(prec // 2)) * top:
             return None
-        return [mpmath.mpc(r) for r in roots]
+        return roots
 
 
 def _harvest_radicands(roots, prec, lead):

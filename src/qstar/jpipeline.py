@@ -227,32 +227,50 @@ def express_in_basis(
     Greedy: each basis monomial has a distinct pole order, so repeatedly
     subtracting (leading coefficient) * (monomial of that order) terminates
     at a constant; the remaining tail must vanish to the available precision.
+    The residual is one list of integer numerators over a running common
+    denominator, updated in place; only the coefficients read out become
+    fractions. Its precision is the least over F and the subtracted monomials.
     """
     cache = _cache if _cache is not None else {}
     terms = []
-    cur = F
-    while not cur.is_zero() and cur.val < 0:
-        order = -cur.val
+    # residual = sum(nums[i] / den * q**(val + i)) + O(q**prec)
+    val, nums, den, prec = F.val, list(F.nums), F.den, F.prec
+    lead = 0
+    while True:
+        while lead < len(nums) and not nums[lead]:
+            lead += 1
+        if lead == len(nums) or val + lead >= 0:
+            break
+        order = -(val + lead)
         if order in (1, 2):
             raise InputError(
                 f"pole order {order} reached; input is not a function with "
                 "poles only above x = infinity"
             )
         mono = monomial_for_order(order)
-        c = cur.coeff(cur.val)
+        c = Fraction(nums[lead], den)
         terms.append((mono, c))
-        cur = cur - _monomial_series(mono, f_series, cache).scale(c)
-    if cur.prec < 9:
+        m = _monomial_series(mono, f_series, cache)
+        new_den = lcm(den, c.denominator * m.den)
+        if new_den != den:
+            nums = [n * (new_den // den) for n in nums]
+            den = new_den
+        factor = c.numerator * (den // (c.denominator * m.den))
+        prec = min(prec, m.prec)
+        del nums[prec - val :]
+        nums[lead:] = [n - factor * t for n, t in zip(nums[lead:], m.nums)]
+    if prec < 9:
         raise InsufficientPrecisionError(
             "fewer than 8 positive-exponent coefficients remain to certify "
-            f"the reduction (precision O(q^{cur.prec}))"
+            f"the reduction (precision O(q^{prec}))"
         )
-    constant = cur.coeff(0)
-    for k in range(1, cur.prec):
-        if cur.coeff(k):
+    for k in range(max(1, val), prec):
+        if nums[k - val]:
+            c = Fraction(nums[k - val], den)
             raise InconsistentDatasetError(
-                f"residual tail has nonzero q^{k} coefficient {cur.coeff(k)}"
+                f"residual tail has nonzero q^{k} coefficient {c}"
             )
+    constant = Fraction(nums[-val], den) if val <= 0 else Fraction(0)
     return FExpression(constant=constant, terms=tuple(terms))
 
 
@@ -272,13 +290,33 @@ def j_expression(ctx: LevelContext, i: int) -> FExpression:
 # evaluation
 
 
+def _horner(coeffs: list, p: int, q: int) -> Fraction:
+    """sum(coeffs[k] * (p/q)**k) by integer Horner over one denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    acc = 0
+    qpow = 1
+    for c in reversed(coeffs):
+        acc = acc * p + c.numerator * (den // c.denominator) * qpow
+        qpow *= q
+    return Fraction(acc, den * q ** (len(coeffs) - 1))
+
+
 def evaluate_expression(e: FExpression, fvals) -> Fraction:
-    """Substitute point values (f3, f4, f5); at inf' only the constant survives."""
+    """Substitute point values (f3, f4, f5); at inf' only the constant survives.
+
+    The terms gen * f3^k group into gen * P_gen(f3) for gen = f3, f4, f5, and
+    each P_gen is evaluated by integer Horner at f3 = p/q.
+    """
     f3v, f4v, f5v = (Fraction(v) for v in fvals)
-    gen_val = {"f3": f3v, "f4": f4v, "f5": f5v}
-    total = e.constant
+    polys = {"f3": [], "f4": [], "f5": []}
     for mono, c in e.terms:
-        total += c * gen_val[mono.gen] * f3v**mono.k
+        poly = polys[mono.gen]
+        poly.extend([Fraction(0)] * (mono.k + 1 - len(poly)))
+        poly[mono.k] = c
+    total = e.constant
+    for v, gen in ((f3v, "f3"), (f4v, "f4"), (f5v, "f5")):
+        if polys[gen]:
+            total += v * _horner(polys[gen], f3v.numerator, f3v.denominator)
     return total
 
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import mpmath
 import pytest
 import sympy
 
@@ -13,7 +14,9 @@ from qstar.algnum import (
     MultiQuadElement,
     _greedy_generators,
     _is_square,
+    _min_identify_prec,
     _monicize,
+    _numeric_roots,
     factor_rational,
     field_label,
     identify_multiquadratic,
@@ -443,17 +446,39 @@ def test_identify_huge_coordinates():
     assert minpoly_of(theta).coeffs == g.coeffs
 
 
-def test_identify_starts_at_precision_floor(monkeypatch):
-    # the j-polynomial factor at (-4/3, 425/27) on X0*(85): below its
-    # precision floor, root sums round into 736-bit junk rationals whose
-    # squarefree kernels exhaust the factoring budget
-    g = P((
+# The quartic j-polynomial factors of `pipeline 85 --height 100`, with their
+# fields; identification floors 1,094, 1,670 and 1,094 bits.
+LEVEL_85_QUARTICS = (
+    P((
+        98855575357206378537914479678371559328229390625,
+        33989340158612344542402114645869280733968750,
+        28640893541714397855518337568729724456000,
+        -6412488324731153494250518314221568000,
+        324518553658426726783156020576256,
+    )),
+    P((
         10245040165625222249137492965652114740183172896107279313024669803951161890625,
         1863900172761620605942947176284552128595564241774640874139508432485343750,
         84992249598787600862303046538541369208485595684118479899024962042875,
         -1060661470308278401373934864354697896570124462918515791198250,
         3381391913522726342930221472392241170198527451848561,
-    ))
+    )),
+    P((
+        -91399742601830803813322386656934773129216000000,
+        483054636550112292687021684688517332992000000,
+        8752111455147508300981595950899265536000,
+        1908606683491595666107623383040000,
+        1,
+    )),
+)
+LEVEL_85_FIELDS = ((17, -95), (85, -4295), (5, 17))
+
+
+def test_identify_starts_at_precision_floor(monkeypatch):
+    # the j-polynomial factor at (-4/3, 425/27) on X0*(85): below its
+    # precision floor, root sums round into 736-bit junk rationals whose
+    # squarefree kernels exhaust the factoring budget
+    g = LEVEL_85_QUARTICS[1]
     exhausted = []
     original = algnum.squarefree_kernel
 
@@ -468,6 +493,48 @@ def test_identify_starts_at_precision_floor(monkeypatch):
     theta = identify_multiquadratic(g)
     assert theta is not None and theta.generators == (85, -4295)
     assert exhausted == []
+
+
+def _polyroots_reference(g: IntPolynomial, prec: int):
+    """The roots as mpmath.polyroots finds them from scratch at prec + 64 bits."""
+    with mpmath.workprec(prec + 64):
+        coeffs = [mpmath.mpf(c) for c in reversed(g.coeffs)]
+        return mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec // 2)
+
+
+def _sum_of_radicals(gens):
+    coords = [F(0)] * (1 << len(gens))
+    for i in range(len(gens)):
+        coords[1 << i] = F(1)
+    return minpoly_of(MultiQuadElement(gens, tuple(coords)))
+
+
+@pytest.mark.parametrize(
+    "g",
+    LEVEL_85_QUARTICS + (_sum_of_radicals((2, 3, 5)), _sum_of_radicals((3, 5, 7, 11))),
+    ids=["85a", "85b", "85c", "deg8", "deg16"],
+)
+def test_newton_roots_agree_with_polyroots(g):
+    prec = max(256, _min_identify_prec(g))
+    roots = _numeric_roots(g, prec)
+    reference = _polyroots_reference(g, prec)
+    assert roots is not None and len(roots) == g.degree
+    with mpmath.workprec(prec + 64):
+        tol = mpmath.mpf(2) ** (-(prec // 2)) * (max(abs(r) for r in roots) + 1)
+        nearest = [
+            min(range(g.degree), key=lambda j: abs(r - reference[j])) for r in roots
+        ]
+        assert sorted(nearest) == list(range(g.degree))
+        for r, j in zip(roots, nearest):
+            assert abs(r - reference[j]) <= tol
+
+
+def test_level_85_quartics_identify_at_their_floors():
+    assert [_min_identify_prec(g) for g in LEVEL_85_QUARTICS] == [1094, 1670, 1094]
+    for g, gens in zip(LEVEL_85_QUARTICS, LEVEL_85_FIELDS):
+        theta = identify_multiquadratic(g)
+        assert theta is not None and theta.generators == gens
+        assert minpoly_of(theta).coeffs == g.coeffs
 
 
 # --- Klein-four quartic subfields ---------------------------------------------

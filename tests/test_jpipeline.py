@@ -11,11 +11,18 @@ from qstar.errors import (
     InputError,
     InsufficientPrecisionError,
 )
-from qstar.hyperelliptic import INF_MINUS, INF_PLUS, Monomial, SexticCurve
+from qstar.hyperelliptic import (
+    INF_MINUS,
+    INF_PLUS,
+    Monomial,
+    SexticCurve,
+    monomial_for_order,
+)
 from qstar.jpipeline import (
     FExpression,
     LevelContext,
     PRECISION_MARGIN,
+    _monomial_series,
     expression_to_json,
     express_in_basis,
     evaluate_expression,
@@ -249,6 +256,102 @@ def test_express_in_basis_rejects_non_member():
         express_in_basis(probe, ctx.f_series)
 
 
+def _greedy_reference(series, f_series):
+    """The greedy as a chain of LaurentSeries subtractions: the oracle."""
+    cache = {}
+    terms = []
+    cur = series
+    while not cur.is_zero() and cur.val < 0:
+        order = -cur.val
+        if order in (1, 2):
+            raise InputError(
+                f"pole order {order} reached; input is not a function with "
+                "poles only above x = infinity"
+            )
+        mono = monomial_for_order(order)
+        c = cur.coeff(cur.val)
+        terms.append((mono, c))
+        cur = cur - _monomial_series(mono, f_series, cache).scale(c)
+    if cur.prec < 9:
+        raise InsufficientPrecisionError(
+            "fewer than 8 positive-exponent coefficients remain to certify "
+            f"the reduction (precision O(q^{cur.prec}))"
+        )
+    constant = cur.coeff(0)
+    for k in range(1, cur.prec):
+        if cur.coeff(k):
+            raise InconsistentDatasetError(
+                f"residual tail has nonzero q^{k} coefficient {cur.coeff(k)}"
+            )
+    return FExpression(constant=constant, terms=tuple(terms))
+
+
+def _outcome(reduce, series, f_series):
+    try:
+        return reduce(series, f_series)
+    except (InputError, InsufficientPrecisionError, InconsistentDatasetError) as exc:
+        return type(exc), str(exc)
+
+
+def _rational_basis(fs):
+    """f3 + 1/3, f4 - 2/5 f3, f5 + 3/7 f4 - 1/2: same pole orders, leading 1."""
+    s3, s4, s5 = fs
+    one = LaurentSeries.from_fraction(1, s3.prec)
+    return (
+        s3 + one.scale(F(1, 3)),
+        s4 - s3.scale(F(2, 5)),
+        s5 + s4.scale(F(3, 7)) - one.scale(F(1, 2)),
+    )
+
+
+def _random_member(rng, fs, max_order):
+    """A seeded rational combination of basis monomials, plus a constant."""
+    cache = {}
+    constant = F(rng.randint(-99, 99), rng.randint(1, 9))
+    total = LaurentSeries.from_fraction(constant, fs[0].prec)
+    for order in rng.sample(range(3, max_order + 1), 12):
+        c = F(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(2, 60))
+        total = total + _monomial_series(monomial_for_order(order), fs, cache).scale(c)
+    return total
+
+
+def test_integer_greedy_matches_series_greedy_on_rational_input():
+    fs = _ctx(67).f_series
+    rng = random.Random(2718)
+    # the short basis leaves the probes more precise than every monomial
+    short = tuple(s.truncate(s.prec - 7) for s in fs)
+    for basis in (fs, _rational_basis(fs), short):
+        for _ in range(6):
+            probe = _random_member(rng, fs, 60)
+            assert probe.den > 1
+            cut = rng.randint(probe.val + 1, probe.prec)
+            for series in (probe, probe.truncate(cut)):
+                expected = _outcome(_greedy_reference, series, basis)
+                assert _outcome(express_in_basis, series, basis) == expected
+            assert isinstance(_outcome(express_in_basis, probe, basis), FExpression)
+
+
+def test_integer_greedy_errors_match_series_greedy():
+    fs = _ctx(67).f_series
+    s3, s4, _ = fs
+    third = F(1, 3)
+    tail = LaurentSeries(5, [7] + [0] * (s3.prec - 6), 3)
+    cases = {
+        InputError: [
+            s3.shift(2).scale(third),  # pole order 1 at once
+            s4.scale(third) + LaurentSeries(-2, [1] + [0] * (s4.prec + 1), 2),
+        ],
+        InsufficientPrecisionError: [s3.scale(third).truncate(8), s4.truncate(5)],
+        InconsistentDatasetError: [s3.scale(third) + tail],
+    }
+    for basis in (fs, _rational_basis(fs)):
+        for error, probes in cases.items():
+            for probe in probes:
+                expected = _outcome(_greedy_reference, probe, basis)
+                assert expected[0] is error
+                assert _outcome(express_in_basis, probe, basis) == expected
+
+
 # ---------------------------------------------------------------------------
 # evaluation at rational points
 
@@ -257,6 +360,43 @@ def test_evaluate_expression_matches_generators():
     ctx = _ctx(67)
     e = j_expression(ctx, 1)
     assert evaluate_expression(e, (F(0), F(1), F(0))) == 16000
+
+
+def _evaluate_reference(e, fvals):
+    """Term-by-term substitution with Fraction powers: the oracle."""
+    f3v, f4v, f5v = (Fraction(v) for v in fvals)
+    gen_val = {"f3": f3v, "f4": f4v, "f5": f5v}
+    total = e.constant
+    for mono, c in e.terms:
+        total += c * gen_val[mono.gen] * f3v**mono.k
+    return total
+
+
+def test_horner_evaluation_matches_term_by_term():
+    rng = random.Random(31415)
+    monos = [Monomial(g, k) for g in ("f3", "f4", "f5") for k in range(13)]
+    exprs = [FExpression(constant=F(-7, 3), terms=())]
+    for _ in range(10):
+        chosen = rng.sample(monos, rng.randint(1, 20))
+        terms = tuple(
+            (m, F(rng.choice([-1, 1]) * rng.randint(1, 10**9), rng.randint(1, 40)))
+            for m in chosen
+        )
+        exprs.append(FExpression(constant=F(rng.randint(-50, 50), 7), terms=terms))
+    exprs.append(FExpression(constant=0, terms=((Monomial("f4", 5), F(3, 4)),)))
+    points = [
+        (F(0), F(0), F(0)),  # inf-
+        (F(0), F(1), F(-2, 9)),
+        (F(-3), F(5), F(7)),
+        (F(-7, 3), F(2, 5), F(-11, 4)),
+        (F(5, 11), F(-1, 6), F(13)),
+        (1, -2, 3),
+    ]
+    for e in exprs:
+        for fvals in points:
+            value = evaluate_expression(e, fvals)
+            assert isinstance(value, Fraction)
+            assert value == _evaluate_reference(e, fvals)
 
 
 def test_polynomial_at_infinity_minus():
