@@ -57,6 +57,9 @@ _PRIME_BOUND = 100_000
 _SMALL_PRIMES = [2, 3, 5, 7]  # every prime <= _SIEVED
 _SIEVED = 10
 
+# Pollard-rho steps that one factoring call may spend before it gives up
+RHO_BUDGET = 6_000_000
+
 
 def _primes_upto(bound: int) -> list:
     """Every prime <= min(bound, _PRIME_BOUND), and perhaps some beyond.
@@ -199,7 +202,7 @@ def _factor_into_primes(n: int, budget: list, out: dict):
     _factor_into_primes(n // d, budget, out)
 
 
-def squarefree_kernel(n: int, budget: int = 6_000_000) -> tuple:
+def squarefree_kernel(n: int, budget: int = RHO_BUDGET) -> tuple:
     """Write n = d * e**2 with d squarefree; d carries the sign of n.
 
     Small primes are stripped by trial division; a remaining perfect-square

@@ -482,7 +482,7 @@ def test_identify_starts_at_precision_floor(monkeypatch):
     exhausted = []
     original = algnum.squarefree_kernel
 
-    def spy(n, budget=6_000_000):
+    def spy(n, budget=algnum.RHO_BUDGET):
         try:
             return original(n, budget=100_000)
         except FactorizationError:

@@ -2,13 +2,21 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import dropwhile, takewhile
 from pathlib import Path
 
 import pytest
 
-from qstar.algnum import MultiQuadElement
-from qstar.fixtures import CMTableRow
+from qstar.algnum import (
+    MultiQuadElement,
+    _iter_primes,
+    _squarefree_mod_p,
+    is_probable_prime,
+)
+from qstar.fixtures import CMTableRow, fixture_curve
 from qstar.hyperelliptic import INF_MINUS
 from qstar.modular import bundled_dataset_levels
 
@@ -27,7 +35,7 @@ check_cm_tables = _load_tool("check_cm_tables")
 
 
 def test_prime_walk_yields_exactly_the_primes_below_250():
-    walked = list(make_datasets.primes_from(2, 250))
+    walked = list(takewhile(lambda p: p < 250, _iter_primes()))
     by_trial_division = [
         n for n in range(2, 250) if all(n % q for q in range(2, int(n**0.5) + 1))
     ]
@@ -36,18 +44,88 @@ def test_prime_walk_yields_exactly_the_primes_below_250():
 
 
 def test_unbounded_prime_walk_continues_past_the_small_primes():
-    walk = make_datasets.primes_from(113)
+    walk = dropwhile(lambda p: p < 113, _iter_primes())
     assert [next(walk) for _ in range(5)] == [113, 127, 131, 137, 139]
 
 
-@pytest.mark.parametrize("level", sorted(make_datasets.TARGETS))
+def _norm_pair_by_exponentiation(fc, p):
+    """(t_p, s_p) with the F_{p^2} character taken as z^((p^2-1)/2)."""
+    t = make_datasets.trace_mod_p(fc, p)
+    r = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+
+    def mul(z1, z2):
+        (u1, v1), (u2, v2) = z1, z2
+        return ((u1 * u2 + v1 * v2 * r) % p, (u1 * v2 + u2 * v1) % p)
+
+    def chi(z):
+        acc, base, e = (1, 0), z, (p * p - 1) // 2
+        while e:
+            if e & 1:
+                acc = mul(acc, base)
+            base = mul(base, base)
+            e >>= 1
+        return {(1, 0): 1, (p - 1, 0): -1, (0, 0): 0}[acc]
+
+    count = 2
+    for u in range(p):
+        for v in range(p):
+            w = (0, 0)
+            for c in reversed(fc):
+                w = mul(w, (u, v))
+                w = ((w[0] + c) % p, w[1])
+            count += 1 + chi(w)
+    return t, (t * t - 4 * p - (p * p + 1 - count)) // 2
+
+
+@pytest.mark.parametrize("level", [67, 85])
+def test_norm_character_matches_exponentiation(level):
+    fc = [int(c) for c in fixture_curve(level).f_coeffs()]
+    good = [
+        p for p in range(3, 32)
+        if is_probable_prime(p) and level % p and _squarefree_mod_p(fc, p)
+    ]
+    assert len(good) >= 8
+    for p in good:
+        expected = _norm_pair_by_exponentiation(fc, p)
+        assert make_datasets.norm_pair_mod_p2(fc, p) == expected, p
+
+
+def test_hasse_bound_is_exact_at_its_boundary():
+    # at p = 2 the bound is |t| + |e| sqrt(2) <= 4 sqrt(2), met with equality
+    # by 2 sqrt(2) = (0 + 4 sqrt(2)) / 2
+    assert make_datasets.within_hasse(2, 0, 4, 2)
+    assert not make_datasets.within_hasse(2, 2, 4, 2)  # 1 + 2 sqrt(2)
+    assert not make_datasets.within_hasse(2, 0, 6, 2)  # 3 sqrt(2)
+    candidates = make_datasets.hasse_candidates(2, 2)
+    assert make_datasets.eigenvalue(2, 0, 4) in candidates
+    assert make_datasets.eigenvalue(2, 0, -4) in candidates
+    assert make_datasets.eigenvalue(2, 2, 4) not in candidates
+    assert make_datasets.eigenvalue(2, 4, 0) in candidates  # |2| <= 2 sqrt(2)
+
+
+@pytest.mark.parametrize("level", bundled_dataset_levels())
 def test_make_dataset_reproduces_the_bundled_file(level):
-    assert level in bundled_dataset_levels()
     data = make_datasets.make_dataset(
-        level, make_datasets.TARGETS[level], verbose=False
+        level, make_datasets.dataset_precision(level), verbose=False
     )
     bundled = ROOT / "src" / "qstar" / "data" / "datasets" / f"ds{level:03d}.json"
     assert make_datasets.dataset_text(data).encode() == bundled.read_bytes()
+
+
+def test_make_datasets_main_writes_the_bundled_file(tmp_path):
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "make_datasets.py"),
+         "--levels", "67", "--out", str(tmp_path)],
+        check=True, capture_output=True,
+    )
+    bundled = ROOT / "src" / "qstar" / "data" / "datasets" / "ds067.json"
+    assert (tmp_path / "ds067.json").read_bytes() == bundled.read_bytes()
+
+
+def test_make_dataset_refuses_rational_eigenvalues():
+    # at 106 both eigenforms have rational a_p (one is old, from 53a1)
+    with pytest.raises(NotImplementedError, match="rational .* ROADMAP.md item 3"):
+        make_datasets.make_dataset(106, make_datasets.dataset_precision(106))
 
 
 def test_cm_tables_verify(capsys):

@@ -33,6 +33,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qstar.algnum import (
+    RHO_BUDGET,
     MultiQuadElement,
     _factor_into_primes,
     identify_multiquadratic,
@@ -73,7 +74,7 @@ def _genus_real_span(d: int) -> frozenset:
     span of those prime discriminants.
     """
     odd_primes: dict = {}
-    _factor_into_primes(-d // (d & -d), [6_000_000], odd_primes)  # odd part of |d|
+    _factor_into_primes(-d // (d & -d), [RHO_BUDGET], odd_primes)  # odd part of |d|
     discs = [p if p % 4 == 1 else -p for p in odd_primes]
     rem = d // prod(discs)
     if rem != 1:

@@ -5,13 +5,18 @@ For each target level the weight-2 eigenvalue data is reconstructed from
 point counts of the fixture sextic over F_p (trace t_p) plus, for the
 leftover square-root parts, exact matching of the series relation
 y^2 = f(x): each candidate value changes a known early residual
-coefficient affinely, so it can be solved for and then confirmed.  Every
-residual is built with the library's own echelon form, coordinates and
-relation (`qstar.modular`), and the final basis pair goes through
-`echelonize` and `validate_dataset` before being written to
-src/qstar/data/datasets/.
+coefficient affinely, so it can be solved for and then confirmed.  The
+eigenvalues are exact elements of Q(sqrt(d)) (`MultiQuadElement`), and
+every residual is built with the library's own echelon form, coordinates
+and relation (`qstar.modular`).  The final basis pair goes through
+`echelonize` and `validate_dataset` before being written, at precision
+sigma(N) + 16, to src/qstar/data/datasets/.
 
-Usage: python3 tools/make_datasets.py [--levels 67,73,85,107] [--out DIR]
+Levels whose two eigenvalue sequences are both rational (d = 1, e.g. 106)
+are refused: they need an old form of lower level (ROADMAP.md item 3).
+
+Usage: python3 tools/make_datasets.py [--levels 67,73,...] [--out DIR]
+(--levels defaults to the bundled levels)
 """
 
 import argparse
@@ -20,6 +25,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from itertools import product, takewhile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -27,13 +33,15 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from qstar.algnum import (  # noqa: E402
+    MultiQuadElement,
+    _iter_primes,
     _squarefree_mod_p,
-    is_probable_prime,
     squarefree_kernel,
 )
 from qstar.errors import InputError  # noqa: E402
 from qstar.fixtures import fixture_curve  # noqa: E402
 from qstar.modular import (  # noqa: E402
+    bundled_dataset_levels,
     coordinates,
     dataset_to_json,
     echelon_series,
@@ -43,44 +51,24 @@ from qstar.modular import (  # noqa: E402
 )
 from qstar.series import LaurentSeries  # noqa: E402
 
-# level -> published precision (sigma(N) + 16, enough for the j pipeline)
-TARGETS = {67: 84, 73: 90, 85: 124, 107: 124}
+
+def dataset_precision(level):
+    """sigma(N) + 16: enough coefficients for the j pipeline at level N."""
+    return sum(k for k in range(1, level + 1) if level % k == 0) + 16
 
 
-# ---------------------------------------------------------------------------
-# arithmetic in Q(sqrt(d)) for eigenvalues a = A + B*w, w^2 = d
+def eigenvalue(d, t, e=0):
+    """(t + e sqrt(d)) / 2 as an element of Q(sqrt(d))."""
+    return MultiQuadElement((d,), (Fraction(t, 2), Fraction(e, 2)))
 
 
-class Quad:
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def mul(self, other, d):
-        return Quad(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def sub_scaled(self, other, n):
-        return Quad(self.a - n * other.a, self.b - n * other.b)
-
-    def __repr__(self):
-        return f"Quad({self.a}, {self.b})"
-
-    def __eq__(self, other):
-        return self.a == other.a and self.b == other.b
-
-
-def hecke_coefficients(nmax, prime_table, level, d):
-    """a_n = A_n + B_n w for 1 <= n < nmax, multiplicative with the usual
-    p-power recursion at good p and a_{p^k} = a_p^k at p | level."""
+def hecke_coefficients(nmax, prime_table, level):
+    """a_n for 1 <= n < nmax, multiplicative with the usual p-power
+    recursion at good p and a_{p^k} = a_p^k at p | level."""
     a = [None] * nmax
-    a[1] = Quad(1)
+    a[1] = prime_table[2] ** 0
     spf = list(range(nmax))  # smallest prime factor
-    for i in range(2, int(math.isqrt(nmax)) + 1):
+    for i in range(2, math.isqrt(nmax) + 1):
         if spf[i] == i:
             for j in range(i * i, nmax, i):
                 if spf[j] == j:
@@ -94,20 +82,20 @@ def hecke_coefficients(nmax, prime_table, level, d):
             q *= p
             k += 1
         if m > 1:
-            a[n] = a[m].mul(a[q], d)
+            a[n] = a[m] * a[q]
         elif k == 1:
             a[n] = prime_table[p]
         elif level % p == 0:
-            a[n] = a[p].mul(a[n // p], d)
+            a[n] = a[p] * a[n // p]
         else:
-            a[n] = a[p].mul(a[n // p], d).sub_scaled(a[n // (p * p)], p)
+            a[n] = a[p] * a[n // p] - a[n // (p * p)] * p
     return a
 
 
-def series_pair(a, prec):
+def series_pair(a):
     """Trace and normalized-difference series of the conjugate pair."""
-    tr = [2 * x.a for x in a[1:prec]]
-    df = [2 * x.b for x in a[1:prec]]
+    tr = [2 * x.coords[0] for x in a[1:]]
+    df = [2 * x.coords[1] for x in a[1:]]
     for c in tr + df:
         assert c.denominator == 1, f"non-integral eigenvalue data: {c}"
     if not any(df):
@@ -139,41 +127,22 @@ def trace_mod_p(fc, p):
 
 def norm_pair_mod_p2(fc, p):
     """(t_p, s_p): trace and product of the conjugate eigenvalues, from
-    counting over F_p and F_{p^2}."""
+    counting over F_p and F_{p^2} = F_p(sqrt(r))."""
     t = trace_mod_p(fc, p)
-    r = next(
-        n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1
-    )  # non-residue
-    half2 = (p * p - 1) // 2
-
-    def mul(z1, z2):
-        (u1, v1), (u2, v2) = z1, z2
-        return ((u1 * u2 + v1 * v2 * r) % p, (u1 * v2 + u2 * v1) % p)
-
-    def chi(z):
-        # z^((p^2-1)/2) in F_{p^2}, which is 0 or +-1
-        acc, base, e = (1, 0), z, half2
-        while e:
-            if e & 1:
-                acc = mul(acc, base)
-            base = mul(base, base)
-            e >>= 1
-        if acc == (1, 0):
-            return 1
-        if acc == (p - 1, 0):
-            return -1
-        assert acc == (0, 0)
-        return 0
-
+    half = (p - 1) // 2
+    r = next(n for n in range(2, p) if pow(n, half, p) == p - 1)  # non-residue
     count = 2
     for u in range(p):
         for v in range(p):
-            z = (u, v)
-            w = (0, 0)
+            w0, w1 = 0, 0  # f(u + v sqrt(r)) by Horner
             for c in reversed(fc):
-                w = mul(w, z)
-                w = ((w[0] + c) % p, w[1])
-            count += 1 + chi(w)
+                w0, w1 = (w0 * u + w1 * v * r + c) % p, (w0 * v + w1 * u) % p
+            # a nonzero w is a square in F_{p^2} exactly when its norm is one in F_p
+            norm = (w0 * w0 - r * w1 * w1) % p
+            if norm == 0:
+                count += 1
+            elif pow(norm, half, p) == 1:
+                count += 2
     sum_alpha_sq = p * p + 1 - count
     s = (t * t - 4 * p - sum_alpha_sq) // 2
     assert (t * t - 4 * p - sum_alpha_sq) % 2 == 0
@@ -184,9 +153,8 @@ def norm_pair_mod_p2(fc, p):
 # residual tests against the fixture curve
 
 
-def build_residual(prime_table, level, d, fc, prec):
-    a = hecke_coefficients(prec, prime_table, level, d)
-    tr, df = series_pair(a, prec)
+def build_residual(a, fc):
+    tr, df = series_pair(a)
     x, y = coordinates(*echelon_series(tr, df))
     return relation_residual(x, y, fc)
 
@@ -200,34 +168,28 @@ def residual_prefix(res, hi):
 # per-level driver
 
 
-def hasse_candidates(p, d, positive_b=False):
-    """All A + Bw with conjugates (t +- e sqrt(d))/2 integral and of absolute
-    value <= 2 sqrt(p)."""
-    lim = 2 * math.sqrt(p)
+def within_hasse(p, t, e, d):
+    """|t| + |e| sqrt(d) <= 4 sqrt(p), decided in integers: with
+    R = 16p - t^2 - e^2 d it holds exactly when R >= 0 and 4 t^2 e^2 d <= R^2."""
+    r = 16 * p - t * t - e * e * d
+    return r >= 0 and 4 * t * t * e * e * d <= r * r
+
+
+def hasse_candidates(p, d):
+    """All (t + e sqrt(d))/2 that are algebraic integers of Q(sqrt(d)) with
+    both conjugates of absolute value <= 2 sqrt(p)."""
+    tmax, emax = math.isqrt(16 * p), math.isqrt(16 * p // d)
     out = []
-    tmax = int(2 * lim) + 1
     for t in range(-tmax, tmax + 1):
-        emax = int((2 * lim - abs(t)) / math.sqrt(d)) + 2
-        start = 1 if positive_b else -emax
-        for e in range(start, emax + 1):
+        for e in range(-emax, emax + 1):
             if d % 4 == 1:
                 if (t - e) % 2:
                     continue
             elif t % 2 or e % 2:
                 continue
-            hi = (abs(t) + abs(e) * math.sqrt(d)) / 2
-            if hi <= lim + 1e-9:
-                out.append(Quad(Fraction(t, 2), Fraction(e, 2)))
+            if within_hasse(p, t, e, d):
+                out.append(eigenvalue(d, t, e))
     return out
-
-
-def primes_from(start, stop=None):
-    """The primes p with start <= p < stop (no upper end when stop is None)."""
-    p = start
-    while stop is None or p < stop:
-        if is_probable_prime(p):
-            yield p
-        p += 1
 
 
 def detect_field(fc, level):
@@ -235,8 +197,8 @@ def detect_field(fc, level):
     good prime (p not dividing the level or disc(f)) whose conjugate pair is
     distinct.  Returns (d, {p: (t, s)})."""
     pinned = {}
-    for p in primes_from(3):
-        if level % p and _squarefree_mod_p(fc, p):
+    for p in _iter_primes():
+        if p > 2 and level % p and _squarefree_mod_p(fc, p):
             t, s = norm_pair_mod_p2(fc, p)
             pinned[p] = (t, s)
             dd = t * t - 4 * s
@@ -246,14 +208,14 @@ def detect_field(fc, level):
 
 
 def counted_candidates(p, t, s, d):
-    """The conjugate choices A +- Bw determined by trace t and product s."""
+    """The conjugate choices (t +- e sqrt(d))/2 determined by trace t and
+    product s."""
     dd = t * t - 4 * s
     if dd == 0:
-        return [Quad(Fraction(t, 2))]
+        return [eigenvalue(d, t)]
     e = math.isqrt(dd // d)
     assert e * e * d == dd, f"p={p}: {dd} is not d*(square), d={d}"
-    b = Fraction(e, 2)
-    return [Quad(Fraction(t, 2), b), Quad(Fraction(t, 2), -b)]
+    return [eigenvalue(d, t, e), eigenvalue(d, t, -e)]
 
 
 def make_dataset(level, precision, verbose=True):
@@ -266,17 +228,22 @@ def make_dataset(level, precision, verbose=True):
             print(f"  [{level}] {msg}", flush=True)
 
     d, pinned = detect_field(fc, level)
+    if d == 1:
+        raise NotImplementedError(
+            f"level {level}: both eigenvalue sequences are rational (d = 1); "
+            "this needs an old form of lower level, see ROADMAP.md item 3"
+        )
     log(f"eigenvalue field Q(sqrt({d}))")
+    minus_one = eigenvalue(d, -2)  # a_p at p | level
 
     # --- joint stage: primes 2,3,5,7 at precision 11 -----------------------
     small_sets = {}
     for p in (2, 3, 5, 7):
         if level % p == 0:
-            small_sets[p] = [Quad(-1)]
+            small_sets[p] = [minus_one]
         elif p == 2:
-            small_sets[p] = hasse_candidates(2, d, positive_b=True) + [
-                c for c in hasse_candidates(2, d) if c.b == 0
-            ]
+            # conjugation fixes the span, so a_2's surd part can be taken >= 0
+            small_sets[p] = [c for c in hasse_candidates(2, d) if c.coords[1] >= 0]
         else:
             if not _squarefree_mod_p(fc, p):
                 raise NotImplementedError(f"odd prime {p} | disc but not level")
@@ -284,64 +251,66 @@ def make_dataset(level, precision, verbose=True):
             small_sets[p] = counted_candidates(p, t, s, d)
 
     winners = []
-    from itertools import product
-
     for combo in product(*(small_sets[p] for p in (2, 3, 5, 7))):
         table = dict(zip((2, 3, 5, 7), combo))
         try:
-            res = build_residual(table, level, d, fc, 11)
+            res = build_residual(hecke_coefficients(11, table, level), fc)
         except (AssertionError, InputError):
             continue
         if not any(residual_prefix(res, 2)):
             winners.append(table)
     if not winners:
         raise RuntimeError(f"level {level}: no small-prime assignment works")
-    # conjugation (flipping every B) fixes the span; drop mirror duplicates
+    # conjugation (flipping every surd part) fixes the span; drop mirror duplicates
     canonical = []
     for w in winners:
-        flip = {p: Quad(q.a, -q.b) for p, q in w.items()}
-        if not any(all(v == other[p] for p, v in flip.items()) for other in canonical):
+        flip = {p: q.conjugate(1) for p, q in w.items()}
+        if flip not in canonical:
             canonical.append(w)
     if len(canonical) != 1:
         raise RuntimeError(f"level {level}: ambiguous small primes: {canonical}")
     prime_table = canonical[0]
-    log(f"small primes: {prime_table}")
+    log("small primes: " + ", ".join(f"a_{p} = {q}" for p, q in prime_table.items()))
 
-    # --- greedy stage: p >= 11 ascending, B_p from an affine probe ---------
-    for p in primes_from(11, work):
+    # --- greedy stage: p >= 11 ascending, surd part from an affine probe ---
+    for p in takewhile(lambda p: p < work, _iter_primes()):
+        if p in prime_table:
+            continue
         if level % p == 0:
-            prime_table[p] = Quad(-1)
+            prime_table[p] = minus_one
             continue
         if not _squarefree_mod_p(fc, p):
             raise NotImplementedError(f"odd prime {p} | disc but not level")
         t = trace_mod_p(fc, p)
-        half_t = Fraction(t, 2)
+        prime_table[p] = eigenvalue(d, t)
+        # below q^(p+2), a_p enters only as the coefficient a[p] itself
+        a = hecke_coefficients(p + 2, prime_table, level)
         probes = []
-        for b in (Fraction(0), Fraction(1)):
-            prime_table[p] = Quad(half_t, b)
-            res = build_residual(prime_table, level, d, fc, p + 2)
+        for e in (0, 2):
+            a[p] = eigenvalue(d, t, e)
+            res = build_residual(a, fc)
             assert not any(
                 residual_prefix(res, p - 9)
             ), f"p={p}: residual broken before the probe slot"
             probes.append(res.coeff(p - 8))
         slope = probes[1] - probes[0]
-        assert slope != 0, f"p={p}: probe slot insensitive to B"
-        b = -probes[0] / slope
-        e2 = 2 * b
-        assert e2.denominator == 1, f"p={p}: solved B={b} is not half-integral"
+        assert slope != 0, f"p={p}: probe slot insensitive to the surd part"
+        e = Fraction(-2 * probes[0], slope)
+        assert e.denominator == 1, f"p={p}: surd part {e / 2} is not half-integral"
+        e = int(e)
         if d % 4 == 1:
-            assert (t - int(e2)) % 2 == 0, f"p={p}: parity of t={t}, e={e2}"
+            assert (t - e) % 2 == 0, f"p={p}: parity of t={t}, e={e}"
         else:
-            assert t % 2 == 0 and int(e2) % 2 == 0, f"p={p}: parity"
-        assert abs(t) + abs(2 * b) * math.sqrt(d) <= 4 * math.sqrt(p) + 1e-9
-        prime_table[p] = Quad(half_t, b)
-        res = build_residual(prime_table, level, d, fc, p + 2)
+            assert t % 2 == 0 and e % 2 == 0, f"p={p}: parity"
+        assert within_hasse(p, t, e, d), f"p={p}: ({t} + {e} sqrt({d}))/2 breaks Hasse"
+        prime_table[p] = a[p] = eigenvalue(d, t, e)
+        res = build_residual(a, fc)
         assert not any(residual_prefix(res, p - 7)), f"p={p}: confirm failed"
     log(f"resolved {len(prime_table)} primes")
 
     # --- final build through the library path ------------------------------
-    a = hecke_coefficients(work, prime_table, level, d)
-    tr, df = series_pair(a, work)
+    a = hecke_coefficients(work, prime_table, level)
+    tr, df = series_pair(a)
     data = echelonize(tr, df, level=level).truncate(precision)
     report = validate_dataset(data, curve)
     assert report.matches, f"level {level}: validation failed: {report}"
@@ -359,7 +328,7 @@ def dataset_text(data):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--levels", default=",".join(map(str, sorted(TARGETS))))
+    ap.add_argument("--levels", default=",".join(map(str, bundled_dataset_levels())))
     ap.add_argument(
         "--out",
         default=str(Path(__file__).resolve().parent.parent / "src/qstar/data/datasets"),
@@ -369,7 +338,7 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     for level in (int(s) for s in args.levels.split(",")):
         t0 = time.time()
-        data = make_dataset(level, TARGETS[level])
+        data = make_dataset(level, dataset_precision(level))
         path = out / f"ds{level:03d}.json"
         path.write_text(dataset_text(data))
         print(f"wrote {path} (precision {data.precision}, {time.time() - t0:.1f}s)")
