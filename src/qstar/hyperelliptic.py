@@ -19,17 +19,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .algnum import (
-    _trim,
-    _zadd,
-    _zderiv,
-    _zeval,
-    _zgcd_poly,
-    _zmul,
-    _zsub,
-    perfect_square_root,
-)
+from .algnum import _zderiv, _zeval, _zgcd_poly, perfect_square_root
 from .errors import InputError
+from .series import LaurentSeries
 
 
 @dataclass(frozen=True)
@@ -124,84 +116,12 @@ def involution(p: CurvePoint) -> CurvePoint:
 
 
 @dataclass(frozen=True)
-class XYPoly:
-    """p(x) + q(x)*y with rational coefficients (low-to-high tuples)."""
-
-    p: tuple
-    q: tuple
-
-    @classmethod
-    def make(cls, p, q=()) -> "XYPoly":
-        return cls(tuple(_trim([Fraction(c) for c in p])),
-                   tuple(_trim([Fraction(c) for c in q])))
-
-    def involute(self) -> "XYPoly":
-        return XYPoly(self.p, tuple(-c for c in self.q))
-
-    def __add__(self, other: "XYPoly") -> "XYPoly":
-        return XYPoly(
-            tuple(_zadd(self.p, other.p)),
-            tuple(_zadd(self.q, other.q)),
-        )
-
-    def __sub__(self, other: "XYPoly") -> "XYPoly":
-        return XYPoly(tuple(_zsub(self.p, other.p)), tuple(_zsub(self.q, other.q)))
-
-    def mul(self, other: "XYPoly", curve: SexticCurve) -> "XYPoly":
-        """Product reduced by y**2 = f(x) on the given curve."""
-        pp = _zmul(self.p, other.p)
-        qq = _zmul(self.q, other.q)
-        pq = _zadd(_zmul(self.p, other.q), _zmul(self.q, other.p))
-        pp = _zadd(pp, _zmul(qq, curve.f_coeffs()))
-        return XYPoly(tuple(pp), tuple(pq))
-
-    def mul_x(self) -> "XYPoly":
-        return XYPoly(
-            (Fraction(0),) + self.p if self.p else (),
-            (Fraction(0),) + self.q if self.q else (),
-        )
-
-    def add_constant(self, c) -> "XYPoly":
-        p = list(self.p) if self.p else [Fraction(0)]
-        p = _zadd(p, [Fraction(c)])
-        return XYPoly(tuple(p), self.q)
-
-    def evaluate(self, x, y) -> Fraction:
-        return _zeval(self.p, x) + _zeval(self.q, x) * y
-
-    def evaluate_series(self, xs, ys):
-        """Value on Laurent series coordinates (xs, ys)."""
-        from .series import LaurentSeries
-
-        # Horner in xs; precision is driven by the series operations
-        def horner(coeffs):
-            acc = None
-            for c in reversed(coeffs):
-                if acc is None:
-                    acc = LaurentSeries.from_fraction(c, xs.prec - xs.val)
-                else:
-                    acc = acc * xs
-                    acc = acc + LaurentSeries.from_fraction(c, acc.prec)
-            return acc
-
-        total = None
-        if self.p:
-            total = horner(self.p)
-        if self.q:
-            qy = horner(self.q) * ys
-            total = qy if total is None else total + qy
-        if total is None:
-            total = LaurentSeries.zero(xs.prec)
-        return total
-
-
-@dataclass(frozen=True)
 class FGenerators:
-    f3: XYPoly
-    f4: XYPoly
-    f5: XYPoly
-    k4: Fraction  # f4 = x*f3 + k4
-    k5: Fraction  # f5 = x*f4 + k5
+    """f3 = P(x) + y/2, f4 = x*f3 + k4, f5 = x*f4 + k5."""
+
+    p: tuple  # the four coefficients of the cubic P, constant term first
+    k4: Fraction
+    k5: Fraction
 
 
 def rr_generators(curve: SexticCurve) -> FGenerators:
@@ -214,17 +134,13 @@ def rr_generators(curve: SexticCurve) -> FGenerators:
         curve.a4,
         curve.a5,
     )
-    f3 = XYPoly.make(
-        [
-            Fraction(8 * a3 - 4 * a4 * a5 + a5**3, 32),
-            Fraction(4 * a4 - a5**2, 16),
-            Fraction(a5, 4),
-            Fraction(1, 2),
-        ],
-        [Fraction(1, 2)],
+    p = (
+        Fraction(8 * a3 - 4 * a4 * a5 + a5**3, 32),
+        Fraction(4 * a4 - a5**2, 16),
+        Fraction(a5, 4),
+        Fraction(1, 2),
     )
     k4 = Fraction(64 * a2 - 16 * a4**2 - 32 * a3 * a5 + 24 * a4 * a5**2 - 5 * a5**4, 256)
-    f4 = f3.mul_x().add_constant(k4)
     k5 = Fraction(
         128 * a1
         - 64 * a3 * a4
@@ -235,8 +151,7 @@ def rr_generators(curve: SexticCurve) -> FGenerators:
         + 7 * a5**5,
         512,
     )
-    f5 = f4.mul_x().add_constant(k5)
-    return FGenerators(f3=f3, f4=f4, f5=f5, k4=k4, k5=k5)
+    return FGenerators(p=p, k4=k4, k5=k5)
 
 
 def evaluate_f(gens: FGenerators, p: CurvePoint):
@@ -245,11 +160,24 @@ def evaluate_f(gens: FGenerators, p: CurvePoint):
         raise InputError("f3, f4, f5 have their pole at inf+")
     if p.kind == "infinity_minus":
         return (Fraction(0), Fraction(0), Fraction(0))
-    return (
-        gens.f3.evaluate(p.x, p.y),
-        gens.f4.evaluate(p.x, p.y),
-        gens.f5.evaluate(p.x, p.y),
-    )
+    f3 = _zeval(gens.p, p.x) + p.y / 2
+    f4 = p.x * f3 + gens.k4
+    return (f3, f4, p.x * f4 + gens.k5)
+
+
+def evaluate_f_series(gens: FGenerators, x: LaurentSeries, y: LaurentSeries):
+    """(f3, f4, f5) on Laurent series coordinates (x, y)."""
+
+    def plus(s, c):
+        return s + LaurentSeries.from_fraction(c, s.prec)
+
+    p0, p1, p2, p3 = gens.p
+    f3 = plus(x.scale(p3), p2)
+    for c in (p1, p0):
+        f3 = plus(f3 * x, c)
+    f3 = f3 + y.scale(Fraction(1, 2))
+    f4 = plus(x * f3, gens.k4)
+    return (f3, f4, plus(x * f4, gens.k5))
 
 
 @dataclass(frozen=True, order=True)

@@ -41,6 +41,7 @@ from .hyperelliptic import (
     Monomial,
     SexticCurve,
     evaluate_f,
+    evaluate_f_series,
     monomial_for_order,
     rr_generators,
 )
@@ -161,17 +162,15 @@ class LevelContext:
         curve = derive_equation(dataset)
         gens = rr_generators(curve)
         x, y = coordinate_series(dataset)  # cached by derive_equation's call
-        fs = []
-        for i, g in enumerate((gens.f3, gens.f4, gens.f5), start=3):
-            s = g.evaluate_series(x, y)
+        fs = evaluate_f_series(gens, x, y)
+        for i, s in enumerate(fs, start=3):
             assert s.val == -i and s.coeff(-i) == 1, f"f{i} normalization broke"
-            fs.append(s)
         return cls(
             dataset=dataset,
             divisors=_divisors_squarefree(dataset.level),
             curve=curve,
             generators=gens,
-            f_series=tuple(fs),
+            f_series=fs,
         )
 
 

@@ -16,6 +16,8 @@ from math import gcd, lcm
 from qstar.algnum import (
     IntPolynomial,
     MultiQuadElement,
+    _zmul,
+    _zsub,
     factor_rational,
     identify_multiquadratic,
     squarefree_kernel,
@@ -32,7 +34,6 @@ from qstar.hyperelliptic import (
     INF_MINUS,
     INF_PLUS,
     Monomial,
-    XYPoly,
     rr_generators,
     search_points,
 )
@@ -106,11 +107,9 @@ def test_criterion_1_generator_closed_forms():
 
     half = F(1, 2)
     # f3 = (-1 + x - 2x^2 + x^3 + y) / 2
-    assert gens.f3 == XYPoly.make([-half, half, -1, half], [half])
+    assert gens.p == (-half, half, -1, half)
     # f4 = x*f3 + 1 and f5 = x*f4 - 1, exactly
     assert gens.k4 == 1 and gens.k5 == -1
-    assert gens.f4 == gens.f3.mul_x().add_constant(1)
-    assert gens.f5 == gens.f4.mul_x().add_constant(-1)
     assert elapsed < 0.001
 
 
@@ -339,17 +338,19 @@ def _count_reduced_forms_directly(D):
 
 
 def test_criterion_8_property_suites():
-    # (a) each generator minus its pullback under (x, y) -> (x, -y) is
-    # exactly y, x*y, x^2*y on every bundled curve
-    diffs = (
-        XYPoly.make([], [1]),
-        XYPoly.make([], [0, 1]),
-        XYPoly.make([], [0, 0, 1]),
-    )
+    # (a) f_i = P_i(x) + x^(i-3) y / 2 vanishes at inf- and has its one
+    # pole, of order i, at inf+, so its norm under (x, y) -> (x, -y),
+    # P_i^2 - x^(2(i-3)) f(x) / 4, has degree at most i - 1, on every
+    # bundled curve
     for level, fx in sorted(load_table().items()):
         gens = rr_generators(fx.curve)
-        for f, want in zip((gens.f3, gens.f4, gens.f5), diffs):
-            assert f - f.involute() == want, level
+        quarter_f = [c / 4 for c in fx.curve.f_coeffs()]
+        p3 = list(gens.p)
+        p4 = [gens.k4] + p3  # x*P3 + k4
+        p5 = [gens.k5] + p4  # x*P4 + k5
+        for i, p in ((3, p3), (4, p4), (5, p5)):
+            norm = _zsub(_zmul(p, p), [0] * (2 * (i - 3)) + quarter_f)
+            assert len(norm) <= i, (level, i)
 
     # (b) 200 factorization roundtrips over products of construction-time
     # irreducibles (linears and Eisenstein polynomials), total degree <= 12

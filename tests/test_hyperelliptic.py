@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qstar.algnum import _zmul, _zsub
 from qstar.errors import InputError
 from qstar.fixtures import fixture_curve, fixture_levels, fixture_points, load_table
 from qstar.hyperelliptic import (
@@ -13,7 +14,6 @@ from qstar.hyperelliptic import (
     CurvePoint,
     Monomial,
     SexticCurve,
-    XYPoly,
     evaluate_f,
     involution,
     monomial_for_order,
@@ -118,16 +118,14 @@ def test_involution_fixes_weierstrass_point():
 
 def test_generators_level_67():
     g = rr_generators(fixture_curve(67))
-    # f3 = (-1 + x - 2x^2 + x^3 + y)/2
-    assert g.f3 == XYPoly.make([F(-1, 2), F(1, 2), F(-1), F(1, 2)], [F(1, 2)])
+    # f3 = (-1 + x - 2x^2 + x^3 + y)/2, f4 = x*f3 + 1, f5 = x*f4 - 1
+    assert g.p == (F(-1, 2), F(1, 2), F(-1), F(1, 2))
     assert g.k4 == 1 and g.k5 == -1
-    assert g.f4 == g.f3.mul_x().add_constant(1)
-    assert g.f5 == g.f4.mul_x().add_constant(-1)
 
 
 def test_generators_x6_plus_1():
     g = rr_generators(SexticCurve.from_coeffs([1, 0, 0, 0, 0, 0]))
-    assert g.f3 == XYPoly.make([0, 0, 0, F(1, 2)], [F(1, 2)])
+    assert g.p == (0, 0, 0, F(1, 2))
     assert g.k4 == 0 and g.k5 == 0
 
 
@@ -140,13 +138,9 @@ def test_generators_x6_plus_x():
 def test_generator_shape_random():
     rng = random.Random(11)
     for _ in range(25):
-        c = random_curve(rng)
-        g = rr_generators(c)
-        # x-degree 3 with leading 1/2, and y-coefficient exactly 1/2
-        assert len(g.f3.p) == 4 and g.f3.p[3] == F(1, 2)
-        assert g.f3.q == (F(1, 2),)
-        assert g.f4 == g.f3.mul_x().add_constant(g.k4)
-        assert g.f5 == g.f4.mul_x().add_constant(g.k5)
+        g = rr_generators(random_curve(rng))
+        # P is a cubic with leading coefficient 1/2
+        assert len(g.p) == 4 and g.p[3] == F(1, 2)
 
 
 # --- generator evaluation -----------------------------------------------------
@@ -173,15 +167,18 @@ def test_evaluate_f_vanishes_at_inf_minus_random():
 
 
 def check_identities(curve):
+    # f_i = P_i(x) + x^(i-3) y / 2, so f_i - f_i|w = x^(i-3) y by construction.
+    # f_i has its one pole, of order i, at inf+ and vanishes at inf-, so the
+    # norm f_i * f_i|w = P_i^2 - x^(2(i-3)) f(x) / 4 is a polynomial in x of
+    # degree at most i - 1.
     g = rr_generators(curve)
-    for f, mon in ((g.f3, [0, 1]), (g.f4, [0, 0, 1]), (g.f5, [0, 0, 0, 1])):
-        diff = f - f.involute()
-        # f - f|w = x^i * y
-        assert diff == XYPoly.make([], mon[1:])
-    for f, dmax in ((g.f3, 2), (g.f4, 3), (g.f5, 4)):
-        prod = f.mul(f.involute(), curve)
-        assert prod.q == ()  # pure polynomial in x
-        assert len(prod.p) <= dmax + 1
+    quarter_f = [c / 4 for c in curve.f_coeffs()]
+    p3 = list(g.p)
+    p4 = [g.k4] + p3  # x*P3 + k4
+    p5 = [g.k5] + p4  # x*P4 + k5
+    for i, p in ((3, p3), (4, p4), (5, p5)):
+        norm = _zsub(_zmul(p, p), [0] * (2 * (i - 3)) + quarter_f)
+        assert len(norm) <= i, (str(curve), i)
 
 
 def test_identities_all_fixture_curves():

@@ -122,6 +122,25 @@ def test_make_datasets_main_writes_the_bundled_file(tmp_path):
     assert (tmp_path / "ds067.json").read_bytes() == bundled.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "levels, code, message",
+    [
+        ("106", 1, "make_datasets: level 106: both eigenvalue sequences are rational (d = 1)"),
+        ("68", 1, "make_datasets: no bundled curve for level 68"),
+        ("x", 2, "argument --levels: invalid level_list value: 'x'"),
+    ],
+)
+def test_make_datasets_main_fails_in_one_line(tmp_path, levels, code, message):
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "make_datasets.py"),
+         "--levels", levels, "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == code
+    assert "Traceback" not in run.stderr
+    assert message in run.stderr
+
+
 def test_make_dataset_refuses_rational_eigenvalues():
     # at 106 both eigenforms have rational a_p (one is old, from 53a1)
     with pytest.raises(NotImplementedError, match="rational .* ROADMAP.md item 3"):

@@ -38,7 +38,7 @@ from qstar.algnum import (  # noqa: E402
     _squarefree_mod_p,
     squarefree_kernel,
 )
-from qstar.errors import InputError  # noqa: E402
+from qstar.errors import InputError, QstarError  # noqa: E402
 from qstar.fixtures import fixture_curve  # noqa: E402
 from qstar.modular import (  # noqa: E402
     bundled_dataset_levels,
@@ -326,9 +326,14 @@ def dataset_text(data):
     return json.dumps(dataset_to_json(data), indent=1) + "\n"
 
 
+def level_list(text):
+    """--levels: comma-separated integers."""
+    return [int(s) for s in text.split(",")]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--levels", default=",".join(map(str, bundled_dataset_levels())))
+    ap.add_argument("--levels", type=level_list, default=bundled_dataset_levels())
     ap.add_argument(
         "--out",
         default=str(Path(__file__).resolve().parent.parent / "src/qstar/data/datasets"),
@@ -336,13 +341,20 @@ def main():
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for level in (int(s) for s in args.levels.split(",")):
-        t0 = time.time()
-        data = make_dataset(level, dataset_precision(level))
-        path = out / f"ds{level:03d}.json"
-        path.write_text(dataset_text(data))
-        print(f"wrote {path} (precision {data.precision}, {time.time() - t0:.1f}s)")
+    try:
+        for level in args.levels:
+            t0 = time.time()
+            data = make_dataset(level, dataset_precision(level))
+            path = out / f"ds{level:03d}.json"
+            path.write_text(dataset_text(data))
+            print(f"wrote {path} (precision {data.precision}, {time.time() - t0:.1f}s)")
+    except (RuntimeError, QstarError) as exc:
+        # a refused level (NotImplementedError is a RuntimeError), a failed
+        # reconstruction, or a level without a bundled curve
+        print(f"make_datasets: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
