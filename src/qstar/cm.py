@@ -2,8 +2,8 @@
 
 Implements classical reduction theory for negative discriminants (including
 non-fundamental ones), the exponent-two test on reduced forms, certified
-evaluation of the class polynomial H_D in interval arithmetic, and the
-inverse lookup from a candidate minimal polynomial of a j-invariant back to
+evaluation of the class polynomial H_D as a product of real factors in
+interval arithmetic, and the inverse lookup from a candidate minimal polynomial of a j-invariant back to
 its CM discriminant.
 """
 
@@ -109,6 +109,11 @@ def class_number(D: int) -> int:
     return len(_reduced_forms(D))
 
 
+def _ambiguous(f: QuadForm) -> bool:
+    """Whether the reduced form f is equivalent to its inverse (a, -b, c)."""
+    return f.b == 0 or f.b == f.a or f.a == f.c
+
+
 def one_class_per_genus(D: int) -> bool:
     """True iff the form class group of D has exponent <= 2.
 
@@ -117,7 +122,7 @@ def one_class_per_genus(D: int) -> bool:
     (a, -b, c) exactly when b = 0, b = a or a = c.  The class group has
     exponent <= 2 exactly when each genus holds one class (Cox, Thm 3.15).
     """
-    return all(f.b == 0 or f.b == f.a or f.a == f.c for f in _reduced_forms(D))
+    return all(_ambiguous(f) for f in _reduced_forms(D))
 
 
 # ---------------------------------------------------------------------------
@@ -131,39 +136,84 @@ class ClassPolynomial:
     certified: bool
 
 
-def _truncation_length(scale: int, qbits: int) -> int:
-    """Terms of the j-series needed so the dropped tail is below 2**-scale.
+def _qbits(D: int, a: int) -> int:
+    """A qbits with |q| = e^{-pi sqrt|D| / a} < 2**-qbits, for forms (a, b, c) of D.
 
-    Uses |q| <= 2**-qbits and the coefficient bound c_n <= e^{4 pi sqrt n}
-    <= 2**(19 isqrt(n) + 19); the dropped tail is then geometric with ratio
-    <= 2**-4, so requiring the first dropped term below 2**-(scale+3) leaves
-    the whole tail under 2**-scale.
+    Im tau >= sqrt(3)/2 on reduced forms, so qbits >= 6 always holds.
     """
-    T = max(32, (scale + 80) // qbits)
-    while 19 * isqrt(T + 1) + 19 + 4 - qbits * (T + 1) > -(scale + 3):
-        T += max(1, T // 8)
-    return T
+    return max(6, int(math.pi * math.sqrt(-D) / (a * math.log(2))) - 2)
 
 
-def _j_at_form(
-    form: QuadForm, D: int, scale: int, coeffs: list, terms: int, qbits: int
-):
-    """An interval containing j((-b + i sqrt|D|)/(2a)), from coeffs[:terms + 1]."""
+def _truncation_length(scale: int, qbits: int) -> int:
+    """The least T >= 3 whose dropped j-series tail is provably below 2**-scale.
+
+    Uses |q| <= 2**-qbits with qbits >= 6 and the coefficient bound
+    c_n <= e^{4 pi sqrt n} <= 2**(19 isqrt(n) + 19) <= 2**(19 sqrt n + 19).
+    Let m = T + 1 >= 4.  The tangent of sqrt at m gives
+    sqrt n <= sqrt m + (n - m)/(2 sqrt m) for n >= m, so the n-th term is at
+    most 2**(19 sqrt m + 19 - qbits m) * r**(n - m) with
+    r = 2**(19/(2 sqrt m) - qbits) <= 2**(4.75 - 6) < 1/2.  The whole tail is
+    then at most twice that first bound, 2**(19 s + 20 - qbits m) with
+    s = ceil(sqrt m), and T is the least one that puts this below 2**-scale.
+    """
+    # the bound needs qbits m > scale + 20, so no smaller m can meet it
+    m = max(4, -(-(scale + 20) // qbits))
+    while 19 * (isqrt(m - 1) + 1) + 20 - qbits * m > -scale:
+        m += 1
+    return m - 1
+
+
+# c_0, c_1, ... of the j-series as exact point intervals, shared by every build
+_J_POINTS: list = []
+
+
+def _j_coefficients(terms: int) -> list:
+    """A list starting c_0 .. c_terms; each coefficient is converted once per process."""
+    if len(_J_POINTS) <= terms:
+        series = j_expansion(terms + 1)
+        new = [int(series.coeff(n)) for n in range(len(_J_POINTS), terms + 1)]
+        # at the largest bit length every new point interval is exact
+        with iv_precision(max(c.bit_length() for c in new)):
+            _J_POINTS.extend(iv.mpf(c) for c in new)
+    return _J_POINTS
+
+
+def _j_at_form(form: QuadForm, D: int, scale: int, coeffs: list, terms: int, qbits: int):
+    """An interval containing j((-b + i sqrt|D|)/(2a)), from coeffs[:terms + 1].
+
+    The interval is real for an ambiguous form, where j is real, and complex
+    for the others.
+    """
     a, b = form.a, form.b
     # 2 pi i tau = -pi sqrt|D|/a + i * (-pi b / a)
     x = -iv.pi * iv.sqrt(-D) / a
-    y = -iv.pi * b / a
+    e = iv.exp(x)
     # certified |q| = e^x < 2**-qbits, the bound the truncation length assumed
-    if not iv.exp(x).b < ldexp(1, -qbits):
+    if not e.b < ldexp(1, -qbits):
         raise PrecisionError("q magnitude bound failed; scale too small")
-    q, qinv = exp_complex(x, y)
-    total = iv.mpc(coeffs[terms])
+    if b == 0 or b == a:
+        # q = e^x, or q = e^{x - i pi} = -e^x: the sum runs on real intervals
+        q = e if b == 0 else -e
+        qinv = 1 / q
+    else:
+        q, qinv = exp_complex(x, -iv.pi * b / a)
+    total = coeffs[terms]
     for n in range(terms - 1, -1, -1):
         total = total * q + coeffs[n]
     # the dropped series tail is below 2**-scale by construction
-    tail = ldexp(1, -scale)
-    tail = iv.mpf([-tail, tail])
-    return total + qinv + iv.mpc(tail, tail)
+    t = ldexp(1, -scale)
+    j = total + qinv + iv.mpc([-t, t], [-t, t])
+    # q is real, or a = c puts tau on the unit circle, where j is real too
+    return j.real if _ambiguous(form) else j
+
+
+def _times_monic(poly: list, factor: list) -> list:
+    """poly * factor for coefficient lists, constant term first; factor is monic."""
+    out = [0] * (len(factor) - 1) + poly
+    for i, f in enumerate(factor[:-1]):
+        for k, p in enumerate(poly):
+            out[i + k] += f * p
+    return out
 
 
 def _default_scale(D: int, forms: tuple) -> int:
@@ -194,30 +244,24 @@ def class_polynomial(D: int, scale_bits: int = None) -> ClassPolynomial:
 
 
 def _class_polynomial_at(D: int, forms: tuple, scale: int) -> ClassPolynomial:
-    # each form's own |q| = e^{-pi sqrt|D| / a} < 2**-qbits sets how many
-    # series terms its root needs; Im tau >= sqrt(3)/2 gives qbits >= 6
-    qbits = [
-        max(6, int(math.pi * math.sqrt(-D) / (f.a * math.log(2))) - 2) for f in forms
-    ]
+    # (a, -b, c) has tau' = -conj(tau) and so j' = conj(j): each pair with
+    # b > 0 contributes x**2 - 2 Re(j) x + |j|**2, and the product is real
+    forms = [f for f in forms if f.b >= 0]
+    qbits = [_qbits(D, f.a) for f in forms]
     terms = [_truncation_length(scale, qb) for qb in qbits]
-    longest = max(terms)
-    # longest + 1 rounded up to a multiple of 256, so nearby D share the cache
-    series = j_expansion((longest + 256) // 256 * 256)
+    coeffs = _j_coefficients(max(terms))
     with iv_precision(scale):
-        coeffs = [iv.mpf(int(series.coeff(n))) for n in range(longest + 1)]
-        poly = [iv.mpc(1)]  # constant term first
+        poly = [iv.mpf(1)]  # constant term first
         for form, qb, T in zip(forms, qbits, terms):
-            jval = _j_at_form(form, D, scale, coeffs, T, qb)
-            # multiply by (x - j)
-            poly = [iv.mpc(0)] + poly
-            for i in range(len(poly) - 1):
-                poly[i] -= poly[i + 1] * jval
-        out = []
-        for coeff in poly:
-            n = unique_integer(coeff.real)
-            if n is None or unique_integer(coeff.imag) != 0:
-                raise PrecisionError("coefficient failed integer certification")
-            out.append(n)
+            j = _j_at_form(form, D, scale, coeffs, T, qb)
+            if _ambiguous(form):
+                factor = [-j, 1]
+            else:
+                factor = [j.real * j.real + j.imag * j.imag, -2 * j.real, 1]
+            poly = _times_monic(poly, factor)
+        out = [unique_integer(coeff) for coeff in poly]
+    if None in out:
+        raise PrecisionError("coefficient failed integer certification")
     assert out[-1] == 1
     return ClassPolynomial(D, IntPolynomial(tuple(out)), True)
 

@@ -342,19 +342,34 @@ def _sigma3_list(out_len: int) -> list:
     return out
 
 
-@lru_cache(maxsize=32)
-def j_expansion(prec: int) -> LaurentSeries:
-    """The modular j-function q-expansion: q**-1 + 744 + 196884 q + ...
-
-    Exact integer coefficients, valuation -1, precision O(q**prec).
-    """
-    if prec < 0:
-        raise ValueError("j expansion needs precision >= 0")
+def _build_j(prec: int) -> LaurentSeries:
+    """j = E4**3 / Delta with Delta = q * eta**24, to precision O(q**prec)."""
     out_len = prec + 1  # exponents -1 .. prec-1
     eta = LaurentSeries(0, _eta_quotient_list(out_len), 1, _normalized=True)
     sig3 = _sigma3_list(out_len)
     e4 = LaurentSeries(
         0, [1] + [240 * sig3[m] for m in range(1, out_len)], 1, _normalized=True
     )
-    # j = E4^3 / Delta with Delta = q * eta^24
     return (e4**3 / eta**24).shift(-1)
+
+
+_j_longest = None  # the longest j-series built so far in this process
+
+
+@lru_cache(maxsize=32)
+def j_expansion(prec: int) -> LaurentSeries:
+    """The modular j-function q-expansion: q**-1 + 744 + 196884 q + ...
+
+    Exact integer coefficients, valuation -1, precision O(q**prec).  Every
+    call truncates one series per process, the longest built so far; a
+    request past it rebuilds it at max(prec, twice its precision).
+    """
+    global _j_longest
+    if prec < 0:
+        raise ValueError("j expansion needs precision >= 0")
+    if _j_longest is None:
+        _j_longest = _build_j(prec)
+    elif _j_longest.prec < prec:
+        _j_longest = _build_j(max(prec, 2 * _j_longest.prec))
+    # the q**-1 coefficient is 1, so the truncation is already normalized
+    return LaurentSeries(-1, _j_longest.nums[: prec + 1], 1, _normalized=True)

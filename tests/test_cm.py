@@ -1,12 +1,14 @@
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from mpmath import iv
 
 import qstar.cm
-from qstar.arith import iv_precision
+from qstar.arith import exp_complex, iv_precision
 from qstar.algnum import IntPolynomial
 from qstar.cm import (
     ClassPolynomial,
@@ -271,6 +273,84 @@ def test_class_polynomial_shape():
 def test_class_polynomial_two_precision_identity():
     for D, scale in [(-71, 256), (-95, 300), (-120, 200), (-420, 400)]:
         assert class_polynomial(D, scale).poly == class_polynomial(D, 2 * scale).poly
+
+
+def test_class_polynomials_up_to_600_are_pinned():
+    # sha256 of [[D, coefficients, certified], ...] for 3 <= |D| <= 600
+    rows = []
+    for D in valid_discriminants(600):
+        cp = class_polynomial(D)
+        rows.append([D, list(cp.poly.coeffs), cp.certified])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert len(rows) == 300
+    assert digest == "061a990c4cd90c5b8aa6f13698f96726ec304492b6ef2bb5584b44c262cb5812"
+
+
+def test_truncation_length_bounds_the_whole_tail():
+    # the coefficient bound the tail rests on, c_n <= 2**(19 isqrt(n) + 19)
+    series = j_expansion(301)
+    assert all(series.coeff(n) <= 2 ** (19 * isqrt(n) + 19) for n in range(301))
+    # every (scale, qbits) the builder starts from, or takes one rung later
+    pairs = set()
+    for D in valid_discriminants(2000):
+        forms = qstar.cm._reduced_forms(D)
+        scale = qstar.cm._default_scale(D, forms)
+        for f in forms:
+            qbits = qstar.cm._qbits(D, f.a)
+            pairs.update({(scale, qbits), (2 * scale, qbits)})
+    for scale, qbits in sorted(pairs):
+        T = qstar.cm._truncation_length(scale, qbits)
+        # sum_{n > T} 2**(19 isqrt(n) + 19 - qbits n): exactly over 32 terms,
+        # then the docstring's geometric bound on the rest, from m = T + 33
+        m = T + 33
+        exps = [19 * isqrt(n) + 19 - qbits * n for n in range(T + 1, m)]
+        exps.append(19 * (isqrt(m - 1) + 1) + 20 - qbits * m)
+        low = min(exps)
+        assert -scale >= low, (scale, qbits, T)
+        assert sum(1 << (e - low) for e in exps) <= 1 << (-scale - low), (
+            scale, qbits, T,
+        )
+        # and T is the least that the docstring's bound admits
+        assert T == 3 or 19 * (isqrt(T - 1) + 1) + 20 - qbits * T > -scale
+    # D = -364, form (7, 0, 13): T = 47 leaves a tail near 2**-338 at scale 340
+    assert qstar.cm._truncation_length(340, 10) > 47
+
+
+def j_interval(D: int, a: int, b: int, prec: int):
+    """j((-b + i sqrt|D|)/(2a)) as a complex interval, from exp_complex and the
+    j-series alone; the caller sets iv.prec."""
+    qbits = qstar.cm._qbits(D, a)
+    T = qstar.cm._truncation_length(prec, qbits)
+    series = j_expansion(T + 1)
+    x = -iv.pi * iv.sqrt(-D) / a
+    assert iv.exp(x).b < iv.mpf(2) ** -qbits
+    q, qinv = exp_complex(x, -iv.pi * b / a)
+    total = iv.mpc(0)
+    for n in range(T, -1, -1):
+        total = total * q + int(series.coeff(n))
+    t = iv.mpf(2) ** -prec
+    tail = iv.mpf([-t.b, t.b])
+    return total + qinv + iv.mpc(tail, tail)
+
+
+def overlaps(u, v) -> bool:
+    return u.a <= v.b and v.a <= u.b
+
+
+def test_j_symmetry_behind_the_real_product():
+    # an ambiguous form has real j; (a, -b, c) has j' = conj(j) for the rest
+    with iv_precision(128):
+        for D in valid_discriminants(300):
+            for f in reduced_forms(D):
+                j = j_interval(D, f.a, f.b, 128)
+                if f.b == 0 or f.b == f.a or f.a == f.c:
+                    assert 0 in j.imag, (D, f)
+                elif f.b > 0:
+                    assert 0 not in j.imag, (D, f)  # so the pairing is tested
+                    partner = j_interval(D, f.a, -f.b, 128)
+                    assert overlaps(partner.real, j.real), (D, f)
+                    assert overlaps(partner.imag, -j.imag), (D, f)
+                    assert not overlaps(partner.imag, j.imag), (D, f)
 
 
 def test_class_polynomial_rejects_invalid():

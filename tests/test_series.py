@@ -215,8 +215,21 @@ def test_j_expansion_known_coefficients():
     assert j.coeff(3) == 864299970
 
 
-def test_j_expansion_cached_and_consistent():
+def test_j_expansion_cached_and_consistent(monkeypatch):
     assert j_expansion(10) is j_expansion(10)
     big, small = j_expansion(9), j_expansion(5)
     for k in range(-1, 5):
         assert big.coeff(k) == small.coeff(k)
+    # once a longer series exists, a shorter request is its truncation and
+    # inverts nothing; __wrapped__ runs the body past the lru_cache
+    longest = j_expansion(60)
+    inverted = []
+    invert = LaurentSeries.invert
+    monkeypatch.setattr(
+        LaurentSeries, "invert", lambda self: inverted.append(self) or invert(self)
+    )
+    for n in (0, 1, 10, 33, 59, 60):
+        assert j_expansion(n) == longest.truncate(n)
+        assert j_expansion.__wrapped__(n) == longest.truncate(n)
+    assert inverted == []
+    assert j_expansion(10) is j_expansion(10)
