@@ -6,10 +6,12 @@ when the splitting field of a factor is multiquadratic Q(sqrt(d1),...,sqrt(dk)),
 returning an exact element of that field whose conjugates are the roots. A
 surd is the k = 1 case of the same element type, MultiQuadElement.
 
-Numeric steps (root finding, rational reconstruction) are heuristic helpers
-only; every returned identification is certified by exact expansion inside the
-multiquadratic algebra, so low precision can only miss an answer, never
-produce a wrong one.
+Identification finds the roots as p-adic integers with the factoring's own
+Cantor-Zassenhaus split and Hensel lift, and reads every radicand and
+coordinate from them exactly; the returned element is still certified by
+exact expansion inside the multiquadratic algebra. A None comes from a prime
+that proves the field is not multiquadratic, from a failed certificate, or
+from a radicand whose factoring exhausts its budget; no precision is tuned.
 """
 
 from __future__ import annotations
@@ -487,6 +489,15 @@ def _pm_pow(base, e, mod, p):
         if e:
             base = _divmod_mod(_zmul(base, base), mod, p)[1]
     return result
+
+
+def _frobenius(f, p):
+    """x**p mod (f, p) for f monic mod p.
+
+    When f has degree >= 2 and is squarefree mod p, it splits into linear
+    factors mod p exactly when this is x: the roots are then all in F_p.
+    """
+    return _pm_pow([0, 1], p, f, p)
 
 
 def _pm_xgcd(a, b, p):
@@ -979,74 +990,53 @@ def field_label(generators) -> str:
 # multiquadratic identification
 
 
-def _round_rational(x, den: int, tol) -> Optional[Fraction]:
-    """Nearest rational with denominator dividing den, if within tol*(1+|x|).
+def _padic_roots(f, target):
+    """(roots, m): the roots of monic f as integers mod m = p**(2**j) >= target.
 
-    Rounding against a known denominator divisor avoids the junk answers a
-    continued-fraction search produces for irrational or under-resolved
-    values: the candidate is accepted only when it sits inside the relative
-    tolerance band around the numeric value.
+    p > 16 is the first prime with f squarefree mod p over which f splits into
+    linear factors. By Dedekind's theorem the degrees of the factors of f mod
+    p are the cycle lengths of a Frobenius element of the Galois group, and
+    in a field with group (Z/2)**k every element is the identity or an
+    involution that fixes no root. So a prime before that one where f has a
+    factor of degree other than 2 proves f is not multiquadratic, and gives
+    None. The linear factors are lifted as in the factoring (von zur Gathen
+    and Gerhard, Modern Computer Algebra, ch. 14-15).
     """
-    ival = int(mpmath.nint(x * den))
-    cand = Fraction(ival, den)
-    back = mpmath.mpf(cand.numerator) / cand.denominator
-    if abs(x - back) <= tol * (1 + abs(x)):
-        return cand
-    return None
-
-
-def _numeric_roots(g: IntPolynomial, prec: int):
-    """All roots of g to about prec bits, or None when they do not settle.
-
-    mpmath.polyroots solves once at prec/8 bits, a start that grows with the
-    precision ladder's rung. Newton steps then lift every root, doubling the
-    working precision up to prec + 64 (von zur Gathen and Gerhard, Modern
-    Computer Algebra, ch. 9). g and g' are evaluated with the precision
-    padded by the coefficients' bit length, because their terms cancel down
-    to the tiny value g(r). The roots are accepted when the last correction
-    is at most 2^-(prec/2) * (max |r| + 1).
-    """
-    coarse = prec // 8
-    pad = max(abs(c).bit_length() for c in g.coeffs)
-    with mpmath.workprec(pad):
-        coeffs = [mpmath.mpf(c) for c in reversed(g.coeffs)]  # exact
-    with mpmath.workprec(coarse):
-        try:
-            # polyroots stops on an absolute error of 2^-coarse, so its
-            # extra precision must cover the size of g's terms as well
-            roots = mpmath.polyroots(
-                coeffs, maxsteps=200, extraprec=coarse // 2 + pad
-            )
-        except mpmath.libmp.NoConvergence:
+    for p in _iter_primes():
+        if p <= 16 or not _squarefree_mod_p(f, p):
+            continue
+        fp = _mod_poly(f, p)
+        xp = _frobenius(fp, p)
+        if xp == [0, 1]:
+            break
+        # every factor must be quadratic: x**(p**2) = x and no root in F_p
+        if _pm_pow(xp, p, fp, p) != [0, 1]:
             return None
-    final = prec + 64
-    work = coarse
-    while work < final:
-        work = min(2 * work, final)
-        with mpmath.workprec(work + pad):
-            steps = []
-            for i, r in enumerate(roots):
-                value, slope = mpmath.polyval(coeffs, r, derivative=True)
-                if not slope:
-                    return None
-                step = value / slope
-                roots[i] = r - step
-                steps.append(abs(step))
-    with mpmath.workprec(final):
-        roots = [+r for r in roots]
-        top = max(abs(r) for r in roots) + 1
-        if max(steps) > mpmath.mpf(2) ** (-(prec // 2)) * top:
+        if len(_pm_gcd(fp, _mod_poly(_zsub(xp, [0, 1]), p), p)) > 1:
             return None
-        return roots
+    else:  # pragma: no cover
+        return None
+    m = _final_modulus(p, target)
+    linear = _equal_degree_split(fp, 1, p, random.Random(p * 0x9E3779B9 ^ len(f)))
+    lifted = _hensel_tree(_mod_poly(f, m), linear, p, target)
+    return [-u[0] % m for u in lifted], m
 
 
-def _harvest_radicands(roots, prec, lead):
-    """Balanced sign splits of the roots whose signed sum squares to a rational.
+def _signed_residue(x, m):
+    """x mod m in the range (-m/2, m/2]."""
+    x %= m
+    return x - m if x > m // 2 else x
 
-    Returns {squarefree radicand: signs tuple}. Root 0 is pinned to the plus
-    half, which kills the global sign flip. Denominators of the squared sums
-    divide lead**2 (lead * root is an algebraic integer), so candidates are
-    found by direct rounding.
+
+def _harvest_radicands(roots, m, bound):
+    """Balanced sign splits of the roots whose signed sum squares to an integer.
+
+    Returns {squarefree radicand d: (signs tuple, t)}, where d * t**2 is the
+    square. Root 0 is pinned to the plus half, which kills the global sign
+    flip. The roots are algebraic integers, so an integer square is read
+    exactly from its residue mod m when it is at most bound < m/2 in
+    absolute value. A square that is not an integer passes only by landing
+    within bound of a multiple of m, and can then only spoil the certificate.
 
     Several signings can square into the same rational line (any signing
     orthogonal to the other radical components does), but only the true group
@@ -1054,30 +1044,23 @@ def _harvest_radicands(roots, prec, lead):
     signing with the largest |v^2| is kept.
     """
     n = len(roots)
-    den = lead * lead
+    total = sum(roots)
     found = {}
-    with mpmath.workprec(prec + 64):
-        tol = mpmath.mpf(2) ** (-(prec // 3))
-        for plus in itertools.combinations(range(1, n), n // 2 - 1):
-            pos = frozenset((0,) + plus)
-            v = mpmath.mpc(0)
-            for i in range(n):
-                v = v + roots[i] if i in pos else v - roots[i]
-            v2 = v * v
-            if abs(v2.imag) > tol * (1 + abs(v2)):
-                continue
-            q = _round_rational(v2.real, den, tol)
-            if q is None or q == 0:
-                continue
-            try:
-                d, _ = squarefree_kernel(q.numerator * q.denominator)
-            except FactorizationError:
-                continue
-            if d in (0, 1):
-                continue
-            if d not in found or abs(q) > found[d][0]:
-                found[d] = (abs(q), tuple(1 if i in pos else -1 for i in range(n)))
-    return {d: signs for d, (_, signs) in found.items()}
+    for plus in itertools.combinations(range(1, n), n // 2 - 1):
+        v = 2 * (roots[0] + sum(roots[i] for i in plus)) - total
+        q = _signed_residue(v * v, m)
+        if not 0 < abs(q) <= bound:
+            continue
+        try:
+            d, t = squarefree_kernel(q)
+        except FactorizationError:
+            continue
+        if d == 1:
+            continue
+        if d not in found or abs(q) > found[d][0]:
+            pos = (0,) + plus
+            found[d] = (abs(q), tuple(1 if i in pos else -1 for i in range(n)), t)
+    return {d: (signs, t) for d, (_, signs, t) in found.items()}
 
 
 def _greedy_generators(radicands, k):
@@ -1122,9 +1105,19 @@ def identify_multiquadratic(g: IntPolynomial) -> Optional[MultiQuadElement]:
     g must be irreducible of degree 2, 4, 8, or 16 (any leading coefficient).
     On success the returned element's 2^k sign-flip conjugates are exactly
     the roots of g, certified by expanding the conjugate product in the exact
-    algebra. Returns None when no certified presentation is found — a
-    non-multiquadratic splitting field, numeric failure at every precision,
-    or factoring-budget exhaustion while extracting radicands.
+    algebra. Returns None when no certified presentation is found: when a
+    prime proves the splitting field is not multiquadratic, when the signed
+    root sums give fewer than k independent radicands or no certificate (a
+    group that is not (Z/2)**k, or a chance below 2**-50 of a spurious
+    radicand), or when factoring a radicand exhausts its budget.
+
+    Above degree 2 the roots rho_i = lc * r_i of the monicized g are
+    computed mod m = p**(2**j). For one conjugate of the root, with
+    coordinates c_S, the signed sum v_S over the character of
+    prod_{i in S} sqrt(d_i) is n * lc * c_S times that product, and each
+    generator's sum is v_i = t_i * sqrt(d_i). So v_S * prod_{i in S} v_i is
+    the integer n * lc * c_S * prod_{i in S} t_i * d_i, read exactly from its
+    residue mod m, and no square root is ever divided by.
     """
     deg = g.degree
     if deg not in (2, 4, 8, 16):
@@ -1136,94 +1129,37 @@ def identify_multiquadratic(g: IntPolynomial) -> Optional[MultiQuadElement]:
             return None
         return theta if _certified(theta, g) else None
     k = deg.bit_length() - 1
-    floor = _min_identify_prec(g)
-    # below the floor, unresolved root sums round into huge junk rationals
-    # whose squarefree kernels can only exhaust the factoring budget
-    prec = min(max(256, floor), 1 << 15)
-    prev_sig = None
-    stable = 0
-    while prec <= (1 << 15):
-        theta, sig = _attempt_identify(g, k, prec)
-        if theta is not None:
-            return theta
-        if sig == prev_sig:
-            stable += 1
-        else:
-            stable = 0
-        prev_sig = sig
-        # only a stabilized failure above the coefficient-size floor is
-        # conclusive; below it the reconstructions cannot have resolved yet
-        if stable >= 2 and prec >= floor:
-            return None
-        prec *= 2
-    return None
-
-
-def _min_identify_prec(g: IntPolynomial) -> int:
-    """Bits needed before failed reconstructions are meaningful.
-
-    Root sums square to rationals with denominator lead**2 and magnitude
-    bounded through the Cauchy root bound, so below this precision a true
-    answer may simply not have resolved yet.
-    """
-    lead = abs(g.leading)
-    root_bound = 1 + max(abs(c) for c in g.coeffs) // lead
-    int_bits = 2 * lead.bit_length() + 2 * (
-        g.degree.bit_length() + root_bound.bit_length()
-    )
-    # the relative tolerance 2^-(prec/3) must clear the rounding-grid spacing
-    # before a failed rounding can be trusted, hence the factor of three
-    return 3 * int_bits + 128
-
-
-def _attempt_identify(g, k, prec):
-    """One fixed-precision try: (certified element or None, failure signature)."""
-    roots = _numeric_roots(g, prec)
-    if roots is None:
-        return None, ("roots",)
-    harvest = _harvest_radicands(roots, prec, abs(g.leading))
-    if len(harvest) < k:
-        return None, ("harvest", tuple(sorted(harvest)))
+    f, lead = _monicize(list(g.coeffs))
+    # Fujiwara: every root is at most 2 max_i |f_{n-i}|**(1/i) <= 2 << R_bits
+    R_bits = max(-(-abs(c).bit_length() // i) for i, c in enumerate(f[-2::-1], 1))
+    nR = deg * (2 << R_bits)  # bounds every signed root sum
+    found = _padic_roots(f, (1 << 64) * nR ** (k + 1))
+    if found is None:
+        return None
+    roots, m = found
+    harvest = _harvest_radicands(roots, m, nR * nR)
     gens = _greedy_generators(list(harvest), k)
     if gens is None:
-        return None, ("dependent", tuple(sorted(harvest)))
+        return None
     # the per-generator signings label each root with a coset vector in F2^k
-    gen_signs = [harvest[d] for d in gens]
-    n = 1 << k
+    gen_signs = [harvest[d][0] for d in gens]
     labels = [
-        sum((1 - gen_signs[i][j]) // 2 << i for i in range(k)) for j in range(n)
+        sum((1 - gen_signs[i][j]) // 2 << i for i in range(k)) for j in range(deg)
     ]
-    if len(set(labels)) != n:
-        return None, ("labels", tuple(gens), tuple(labels))
+    if len(set(labels)) != deg:
+        return None
+    sums = [
+        sum(-r if bin(mask & lab).count("1") % 2 else r for r, lab in zip(roots, labels))
+        for mask in range(deg)
+    ]
     # character sums recover every coordinate; the trace gives the rational one
-    coords = [Fraction(0)] * n
-    coords[0] = Fraction(-g.coeffs[g.degree - 1], n * g.leading)
-    cden = n * abs(g.leading)
-    with mpmath.workprec(prec + 64):
-        radicals = [mpmath.sqrt(mpmath.mpc(d)) for d in gens]
-        tol = mpmath.mpf(2) ** (-(prec // 3))
-        for mask in range(1, n):
-            v = mpmath.mpc(0)
-            for j in range(n):
-                if bin(mask & labels[j]).count("1") % 2:
-                    v -= roots[j]
-                else:
-                    v += roots[j]
-            r = mpmath.mpc(1)
-            for i in range(k):
-                if mask >> i & 1:
-                    r *= radicals[i]
-            c = v / (n * r)
-            if abs(c.imag) > tol * (1 + abs(c)):
-                return None, ("complex-coord", tuple(gens), mask)
-            q = _round_rational(c.real, cden, tol)
-            if q is None:
-                return None, ("coord", tuple(gens), mask)
-            coords[mask] = q
-    try:
-        theta = MultiQuadElement(tuple(gens), tuple(coords))
-    except InputError:
-        return None, ("element", tuple(gens))
-    if not _certified(theta, g):
-        return None, ("uncertified", tuple(gens), tuple(coords))
-    return _canonical_flips(theta), ()
+    coords = [Fraction(-g.coeffs[deg - 1], deg * lead)]
+    for mask in range(1, deg):
+        x, den = sums[mask], deg * lead
+        for i, d in enumerate(gens):
+            if mask >> i & 1:
+                x = x * sums[1 << i] % m
+                den *= harvest[d][1] * d
+        coords.append(Fraction(_signed_residue(x, m), den))
+    theta = MultiQuadElement(tuple(gens), tuple(coords))
+    return _canonical_flips(theta) if _certified(theta, g) else None

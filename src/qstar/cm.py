@@ -20,14 +20,12 @@ from .arith import ceil_upper, exp_complex, iv_precision, unique_integer
 from .errors import InputError, PrecisionCapError, PrecisionError
 from .algnum import (
     IntPolynomial,
+    _frobenius,
     _iter_primes,
     _mod_poly,
-    _pm_gcd,
-    _pm_pow,
     _squarefree_mod_p,
     _zderiv,
     _zgcd_poly,
-    _zsub,
 )
 from .series import j_expansion
 
@@ -384,9 +382,9 @@ def _split_primes(g: IntPolynomial) -> list:
     """[(p, g splits into linear factors mod p)] for the screen's primes.
 
     These are the first _SCREEN_PRIMES odd primes p with g squarefree mod p;
-    g splits into linear factors exactly when gcd(g, x**p - x) has degree
-    deg g.  A linear g splits mod every p, and every form of class number
-    one is principal, so the screen has nothing to reject at degree one.
+    g splits into linear factors exactly when x**p = x mod (g, p).  A linear
+    g splits mod every p, and every form of class number one is principal,
+    so the screen has nothing to reject at degree one.
     """
     if g.degree == 1:
         return []
@@ -394,10 +392,7 @@ def _split_primes(g: IntPolynomial) -> list:
     for p in _iter_primes():
         if p == 2 or not _squarefree_mod_p(g.coeffs, p):
             continue
-        f = _mod_poly(g.coeffs, p)
-        xp = _pm_pow([0, 1], p, f, p)
-        roots = _pm_gcd(f, _mod_poly(_zsub(xp, [0, 1]), p), p)
-        out.append((p, len(roots) - 1 == g.degree))
+        out.append((p, _frobenius(_mod_poly(g.coeffs, p), p) == [0, 1]))
         if len(out) == _SCREEN_PRIMES:
             break
     return out

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-import mpmath
 import pytest
 import sympy
 
@@ -14,9 +13,7 @@ from qstar.algnum import (
     MultiQuadElement,
     _greedy_generators,
     _is_square,
-    _min_identify_prec,
     _monicize,
-    _numeric_roots,
     factor_rational,
     field_label,
     identify_multiquadratic,
@@ -382,12 +379,59 @@ def test_identify_non_monic_quartic():
     assert theta.coords == (F(0), F(1, 2), F(1, 2), F(0))
 
 
-def test_identify_rejects_non_multiquadratic():
-    assert identify_multiquadratic(P((1, 1, 1, 1, 1))) is None  # cyclic quartic
-    assert identify_multiquadratic(P((-2, 0, 0, 0, 1))) is None  # dihedral
-    assert identify_multiquadratic(P((-2,) + (0,) * 7 + (1,))) is None
+def test_identify_rejects_non_multiquadratic(monkeypatch):
+    lifts = []
+    original = algnum._hensel_tree
+
+    def spy(*args):
+        lifts.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(algnum, "_hensel_tree", spy)
+    # a prime where the factor degrees are not all 1 or all 2 rejects
+    # exactly, before any root is lifted
+    for g in (
+        P((1, 1, 1, 1, 1)),  # cyclic quartic
+        P((-2, 0, 0, 0, 1)),  # dihedral quartic
+        P((1, 1, 0, 0, 1)),  # S4 quartic
+        P((-2,) + (0,) * 7 + (1,)),
+    ):
+        assert identify_multiquadratic(g) is None
+    assert lifts == []
+    # x^8 + 1 has group Z/2 x Z/4 and splits completely mod 17, so its
+    # roots are lifted, but its signed root sums give only two independent
+    # radicands
+    assert identify_multiquadratic(P((1,) + (0,) * 7 + (1,))) is None
+    assert lifts and lifts[0][2] == 17
     with pytest.raises(InputError):
         identify_multiquadratic(P((1, 1, 1, 1, 1, 1, 1)))  # degree 6
+
+
+def test_identify_radicands_sharing_a_prime():
+    # sqrt(143) + sqrt(1155) + (1/11)*sqrt(143)*sqrt(1155), where the product
+    # of the radicals is 11*sqrt(1365): its coordinate has a denominator that
+    # the trace's n * lc does not carry
+    g = P((-656171, -120120, -5326, 0, 1))
+    theta = identify_multiquadratic(g)
+    assert theta.generators == (143, 1155)
+    assert theta.coords == (F(0), F(1), F(1), F(1, 11))
+    assert minpoly_of(theta).coeffs == g.coeffs
+
+
+@pytest.mark.parametrize(
+    "gens, coords",
+    [
+        ((-1, 2), (10**40, 1, 1, 0)),
+        ((2, 3, 5), (2**100, 1, 1, 0, 1, 0, 0, 0)),
+    ],
+    ids=["1e40", "2^100"],
+)
+def test_identify_large_rational_part(gens, coords):
+    # roots that cluster tightly around a huge rational part
+    element = MultiQuadElement(gens, tuple(F(c) for c in coords))
+    g = minpoly_of(element)
+    theta = identify_multiquadratic(g)
+    assert theta == element
 
 
 def test_identify_degree8_sum():
@@ -410,7 +454,7 @@ def test_identify_degree16_sum():
 
 def test_identify_roundtrip_random():
     rng = random.Random(131415)
-    pool = [-1, 2, -2, 3, 5, -7, 13, -11, 17]
+    pool = [-1, 2, -2, 3, 5, -7, 13, -11, 17, 15, 21, 33, 35, 51, 143, 1155]
     for _ in range(15):
         k = rng.randint(2, 3)
         gens = tuple(rng.sample(pool, k))
@@ -447,7 +491,7 @@ def test_identify_huge_coordinates():
 
 
 # The quartic j-polynomial factors of `pipeline 85 --height 100`, with their
-# fields; identification floors 1,094, 1,670 and 1,094 bits.
+# fields.
 LEVEL_85_QUARTICS = (
     P((
         98855575357206378537914479678371559328229390625,
@@ -474,10 +518,9 @@ LEVEL_85_QUARTICS = (
 LEVEL_85_FIELDS = ((17, -95), (85, -4295), (5, 17))
 
 
-def test_identify_starts_at_precision_floor(monkeypatch):
-    # the j-polynomial factor at (-4/3, 425/27) on X0*(85): below its
-    # precision floor, root sums round into 736-bit junk rationals whose
-    # squarefree kernels exhaust the factoring budget
+def test_identify_85b_exhausts_no_factoring_budget(monkeypatch):
+    # the j-polynomial factor at (-4/3, 425/27) on X0*(85): every radicand
+    # is factored well within a budget of 100,000 rho steps
     g = LEVEL_85_QUARTICS[1]
     exhausted = []
     original = algnum.squarefree_kernel
@@ -495,42 +538,7 @@ def test_identify_starts_at_precision_floor(monkeypatch):
     assert exhausted == []
 
 
-def _polyroots_reference(g: IntPolynomial, prec: int):
-    """The roots as mpmath.polyroots finds them from scratch at prec + 64 bits."""
-    with mpmath.workprec(prec + 64):
-        coeffs = [mpmath.mpf(c) for c in reversed(g.coeffs)]
-        return mpmath.polyroots(coeffs, maxsteps=200, extraprec=prec // 2)
-
-
-def _sum_of_radicals(gens):
-    coords = [F(0)] * (1 << len(gens))
-    for i in range(len(gens)):
-        coords[1 << i] = F(1)
-    return minpoly_of(MultiQuadElement(gens, tuple(coords)))
-
-
-@pytest.mark.parametrize(
-    "g",
-    LEVEL_85_QUARTICS + (_sum_of_radicals((2, 3, 5)), _sum_of_radicals((3, 5, 7, 11))),
-    ids=["85a", "85b", "85c", "deg8", "deg16"],
-)
-def test_newton_roots_agree_with_polyroots(g):
-    prec = max(256, _min_identify_prec(g))
-    roots = _numeric_roots(g, prec)
-    reference = _polyroots_reference(g, prec)
-    assert roots is not None and len(roots) == g.degree
-    with mpmath.workprec(prec + 64):
-        tol = mpmath.mpf(2) ** (-(prec // 2)) * (max(abs(r) for r in roots) + 1)
-        nearest = [
-            min(range(g.degree), key=lambda j: abs(r - reference[j])) for r in roots
-        ]
-        assert sorted(nearest) == list(range(g.degree))
-        for r, j in zip(roots, nearest):
-            assert abs(r - reference[j]) <= tol
-
-
-def test_level_85_quartics_identify_at_their_floors():
-    assert [_min_identify_prec(g) for g in LEVEL_85_QUARTICS] == [1094, 1670, 1094]
+def test_level_85_quartics_identify():
     for g, gens in zip(LEVEL_85_QUARTICS, LEVEL_85_FIELDS):
         theta = identify_multiquadratic(g)
         assert theta is not None and theta.generators == gens

@@ -190,14 +190,29 @@ def test_cm_table_rational_cell_check_substitutes_into_the_class_polynomial():
 
 @pytest.mark.parametrize(
     "d, good, bad",
-    # h = 8 and h = 16 are above IDENT_DEGREE_MAX, so only the genus
-    # field route checks these cells
+    # the genus field check runs before identification, so a wrong
+    # generator is reported by it even where identification would also fail
     [(-1155, (5, 21, 33), (5, 21, 35)), (-5460, (3, 5, 7, 13), (3, 5, 7, 17))],
 )
 def test_cm_table_genus_field_check_rejects_a_wrong_generator(d, good, bad):
     assert check_cm_tables._check_cell(d, good) is None
     problem = check_cm_tables._check_cell(d, bad)
     assert problem == f"gens {bad} do not match the genus field of {d}"
+
+
+@pytest.mark.parametrize(
+    "d, good, bad",
+    [(-1155, (5, 21, 33), (5, 21, 35)), (-5460, (3, 5, 7, 13), (3, 5, 7, 17))],
+)
+def test_cm_table_identification_check_rejects_a_wrong_generator(
+    monkeypatch, d, good, bad
+):
+    # with the genus field check out of the way, identification of the
+    # class polynomial alone rejects the cell, at degree 8 and 16 too
+    monkeypatch.setattr(check_cm_tables, "_is_fundamental", lambda d: False)
+    check = check_cm_tables._check_cell.__wrapped__  # bypass the cache
+    assert check(d, good) is None
+    assert check(d, bad) == f"field of H({d}) is not Q(sqrt {bad})"
 
 
 @pytest.mark.parametrize(

@@ -42,10 +42,6 @@ from qstar.algnum import (
 from qstar.cm import class_number, class_polynomial, one_class_per_genus
 from qstar.fixtures import load_cm_table
 
-# numeric field identification is run only where the class polynomial has
-# degree <= IDENT_DEGREE_MAX; larger cells rely on the genus-span check
-IDENT_DEGREE_MAX = 4
-
 
 def _span(gens) -> frozenset:
     """F2-span of squarefree kernels, excluding 1."""
@@ -105,18 +101,11 @@ def _check_cell(d: int, j):
         gens = j
         if h != 2 ** len(gens):
             return f"h({d})={h} != 2^{len(gens)}"
-        checked = False
-        if _is_fundamental(d):
-            checked = True
-            if _span(gens) != _genus_real_span(d):
-                return f"gens {gens} do not match the genus field of {d}"
-        if poly.degree <= IDENT_DEGREE_MAX:
-            checked = True
-            mq = identify_multiquadratic(poly)
-            if mq is None or _span(mq.generators) != _span(gens):
-                return f"field of H({d}) is not Q(sqrt {gens})"
-        if not checked:
-            return f"no verification route for D={d} field cell"
+        if _is_fundamental(d) and _span(gens) != _genus_real_span(d):
+            return f"gens {gens} do not match the genus field of {d}"
+        mq = identify_multiquadratic(poly)
+        if mq is None or _span(mq.generators) != _span(gens):
+            return f"field of H({d}) is not Q(sqrt {gens})"
     return None
 
 
