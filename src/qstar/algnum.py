@@ -35,6 +35,7 @@ __all__ = [
     "quadratic_surd_roots",
     "identify_multiquadratic",
     "squarefree_kernel",
+    "prime_factors",
     "is_probable_prime",
     "field_label",
     "poly_str",
@@ -88,11 +89,16 @@ def _iter_primes():
         i, bound = len(primes), 2 * bound
 
 
+# Miller-Rabin bases 2..41 decide primality exactly below psi_13
+# (Sorenson and Webster, Math. Comp. 2017); 2..37 alone fail at psi_12
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin; deterministic below 3.3e24, 64 seeded rounds above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -111,7 +117,7 @@ def is_probable_prime(n: int) -> bool:
         return True
 
     if n < 3317044064679887385961981:
-        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        bases = _MR_BASES
     else:
         rng = random.Random(n & ((1 << 64) - 1))
         bases = tuple(rng.randrange(2, n - 1) for _ in range(64))
@@ -185,38 +191,25 @@ def _is_square(n: int) -> bool:
     return n >= 0 and perfect_square_root(n) is not None
 
 
-def _factor_into_primes(n: int, budget: list, out: dict):
-    """Accumulate the prime factorization of n >= 1 into out (prime -> exp)."""
+def _factor_into_primes(n: int, budget: list, out: dict, mult: int = 1):
+    """Add mult times the prime factorization of n >= 1 into out (p -> exp)."""
     if n == 1:
         return
     if is_probable_prime(n):
-        out[n] = out.get(n, 0) + 1
+        out[n] = out.get(n, 0) + mult
         return
     r = perfect_square_root(n)
     if r is not None:
-        tmp: dict = {}
-        _factor_into_primes(r, budget, tmp)
-        for p, e in tmp.items():
-            out[p] = out.get(p, 0) + 2 * e
+        _factor_into_primes(r, budget, out, 2 * mult)
         return
     d = _brent_rho(n, budget)
-    _factor_into_primes(d, budget, out)
-    _factor_into_primes(n // d, budget, out)
+    _factor_into_primes(d, budget, out, mult)
+    _factor_into_primes(n // d, budget, out, mult)
 
 
-def squarefree_kernel(n: int, budget: int = RHO_BUDGET) -> tuple:
-    """Write n = d * e**2 with d squarefree; d carries the sign of n.
-
-    Small primes are stripped by trial division; a remaining perfect-square
-    cofactor needs no further factoring; anything else is factored with
-    Pollard's rho under an iteration budget. Budget exhaustion raises
-    FactorizationError rather than returning an uncertified kernel.
-    """
-    if n == 0:
-        raise InputError("squarefree kernel of 0 is undefined")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    d, e = 1, 1
+def _trial_divide(n: int) -> tuple:
+    """({p: e} over the sieved primes dividing n >= 1, the cofactor left)."""
+    out = {}
     for p in _primes_upto(isqrt(n)):
         if p * p > n:
             break
@@ -225,24 +218,48 @@ def squarefree_kernel(n: int, budget: int = RHO_BUDGET) -> tuple:
             while n % p == 0:
                 n //= p
                 k += 1
-            if k % 2:
-                d *= p
-            e *= p ** (k // 2)
+            out[p] = k
+    return out, n
+
+
+def prime_factors(n: int, budget: int = RHO_BUDGET) -> dict:
+    """The prime factorization {p: e} of n >= 1, primes ascending.
+
+    Small primes are stripped by trial division and the cofactor is split
+    with Pollard's rho under an iteration budget. Budget exhaustion raises
+    FactorizationError rather than returning a partial factorization.
+    """
+    if n < 1:
+        raise InputError(f"prime factors of {n} are undefined")
+    out, n = _trial_divide(n)
     if n > 1:
-        if is_probable_prime(n):
-            d *= n
+        _factor_into_primes(n, [budget], out)
+    return dict(sorted(out.items()))
+
+
+def squarefree_kernel(n: int, budget: int = RHO_BUDGET) -> tuple:
+    """Write n = d * e**2 with d squarefree; d carries the sign of n.
+
+    As prime_factors, except that a perfect-square cofactor left by trial
+    division needs no further factoring. Budget exhaustion raises
+    FactorizationError rather than returning an uncertified kernel.
+    """
+    if n == 0:
+        raise InputError("squarefree kernel of 0 is undefined")
+    fac, d = _trial_divide(abs(n))
+    e = 1
+    if d > 1 and not is_probable_prime(d):
+        r = perfect_square_root(d)
+        if r is None:
+            _factor_into_primes(d, [budget], fac)
         else:
-            r = perfect_square_root(n)
-            if r is not None:
-                e *= r
-            else:
-                fac: dict = {}
-                _factor_into_primes(n, [budget], fac)
-                for p, k in fac.items():
-                    if k % 2:
-                        d *= p
-                    e *= p ** (k // 2)
-    return sign * d, e
+            e = r
+        d = 1
+    for p, k in fac.items():
+        if k % 2:
+            d *= p
+        e *= p ** (k // 2)
+    return (-d if n < 0 else d), e
 
 
 # ---------------------------------------------------------------------------

@@ -44,13 +44,12 @@ from .errors import (
 from .fixtures import load_table
 from .hyperelliptic import INF_MINUS, CurvePoint, SexticCurve, search_points
 from .jpipeline import (
-    PRECISION_MARGIN,
     LevelContext,
     PointReport,
+    divisors,
     j_expression,
     expression_to_json,
     point_report,
-    required_precision,
 )
 from .modular import (
     ModularDataset,
@@ -69,8 +68,8 @@ EXIT_INPUT = 3
 EXIT_PRECISION = 4
 
 # levels whose divisor sum exceeds this must be requested explicitly with
-# --allow-large; on 2 cores, pipeline --height 100 took 5.8 s (level 165,
-# divisor sum 288) to 25 s (level 357, 576), and 390 (1008) is unmeasured
+# --allow-large; on 2 cores, pipeline --height 100 took 1.9-3.1 s (level 165,
+# divisor sum 288) and 7.5-11.5 s (level 357, 576); 390 (1008) is unmeasured
 SIGMA_BUDGET = 150
 
 DEFAULT_HEIGHT = 100
@@ -199,7 +198,7 @@ def _load_dataset_arg(arg: str) -> ModularDataset:
 
 def _require_pipeline_budget(data: ModularDataset, allow_large: bool) -> None:
     """Refuse a large level before any series work unless --allow-large."""
-    sigma = required_precision(data.level) - PRECISION_MARGIN
+    sigma = sum(divisors(data.level))
     if sigma > SIGMA_BUDGET and not allow_large:
         raise PrecisionError(
             f"level {data.level} has divisor sum {sigma} > {SIGMA_BUDGET}; "

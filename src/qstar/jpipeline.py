@@ -26,6 +26,7 @@ from .algnum import (
     factor_rational,
     identify_multiquadratic,
     poly_str,
+    prime_factors,
     quadratic_surd_roots,
 )
 from .cm import identify_cm
@@ -51,6 +52,7 @@ from .series import LaurentSeries, j_expansion
 __all__ = [
     "FExpression",
     "LevelContext",
+    "divisors",
     "symmetric_j_series",
     "express_in_basis",
     "j_expression",
@@ -103,24 +105,17 @@ class FExpression:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _divisors_squarefree(n: int) -> tuple:
-    """The divisors of a square-free n, ascending."""
+def divisors(n: int) -> tuple:
+    """The divisors of n >= 1, ascending."""
     out = [1]
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            out.extend(d * p for d in list(out))
-        p += 1
-    if m > 1:
-        out.extend(d * m for d in list(out))
+    for p, e in prime_factors(n).items():
+        out += [d * p**k for d in out for k in range(1, e + 1)]
     return tuple(sorted(out))
 
 
 def required_precision(level: int) -> int:
     """Dataset precision needed to run the pipeline at this square-free level."""
-    return sum(_divisors_squarefree(level)) + PRECISION_MARGIN
+    return sum(divisors(level)) + PRECISION_MARGIN
 
 
 @dataclass(frozen=True)
@@ -167,7 +162,7 @@ class LevelContext:
             assert s.val == -i and s.coeff(-i) == 1, f"f{i} normalization broke"
         return cls(
             dataset=dataset,
-            divisors=_divisors_squarefree(dataset.level),
+            divisors=divisors(dataset.level),
             curve=curve,
             generators=gens,
             f_series=fs,

@@ -19,6 +19,7 @@ from qstar.algnum import (
     identify_multiquadratic,
     is_probable_prime,
     poly_str,
+    prime_factors,
     quadratic_surd_roots,
     squarefree_kernel,
 )
@@ -91,13 +92,51 @@ def test_squarefree_kernel_budget_exhaustion():
         squarefree_kernel(semiprime, budget=100)
 
 
+# psi_12: the least strong pseudoprime to every prime base up to 37
+PSI_12 = 318665857834031151167461
+
+
 def test_probable_prime_vs_oracle():
     rng = random.Random(515253)
     for _ in range(300):
         n = rng.randint(2, 10**12)
         assert is_probable_prime(n) == sympy.isprime(n)
+    # the deterministic range ends at psi_13 = 3.3e24, above psi_12
+    sample = [rng.randint(10**23, 10**25) for _ in range(200)]
+    sample += [sympy.nextprime(n) for n in sample[:20]]
+    for n in sample:
+        assert is_probable_prime(n) == sympy.isprime(n)
+    assert not is_probable_prime(PSI_12)
     assert is_probable_prime(2**127 - 1)
     assert not is_probable_prime(2**128 - 1)
+
+
+def test_prime_factors_anchors():
+    assert prime_factors(1) == {}
+    assert prime_factors(12) == {2: 2, 3: 1}
+    assert list(prime_factors(2 * 3 * 5 * 7 * 11)) == [2, 3, 5, 7, 11]
+    assert prime_factors(2**127 - 1) == {2**127 - 1: 1}
+    assert prime_factors((2**61 - 1) ** 2) == {2**61 - 1: 2}
+    assert prime_factors(PSI_12) == {399165290221: 1, 798330580441: 1}
+    with pytest.raises(InputError):
+        prime_factors(0)
+
+
+def test_prime_factors_vs_oracle():
+    # primes above the trial-division bound, some of them repeated
+    rng = random.Random(616263)
+    for _ in range(60):
+        n = rng.randint(1, 10**6)
+        for _ in range(rng.randint(0, 3)):
+            n *= sympy.nextprime(rng.randint(10**5, 10**9)) ** rng.randint(1, 3)
+        assert prime_factors(n) == sympy.factorint(n)
+
+
+def test_prime_factors_budget_exhaustion():
+    semiprime = sympy.nextprime(2**99) * sympy.nextprime(2**100)
+    assert semiprime.bit_length() == 200
+    with pytest.raises(FactorizationError):
+        prime_factors(semiprime, budget=100)
 
 
 # --- IntPolynomial basics ----------------------------------------------------
@@ -525,7 +564,7 @@ def test_identify_85b_exhausts_no_factoring_budget(monkeypatch):
     exhausted = []
     original = algnum.squarefree_kernel
 
-    def spy(n, budget=algnum.RHO_BUDGET):
+    def spy(n, budget=None):
         try:
             return original(n, budget=100_000)
         except FactorizationError:

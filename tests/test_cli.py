@@ -32,7 +32,7 @@ EXIT_INPUT = 3
 EXIT_PRECISION = 4
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -41,6 +41,7 @@ def run_cli(*args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=timeout,
     )
 
 
@@ -252,6 +253,25 @@ def test_pipeline_large_level_needs_flag(tmp_path):
     proc = run_cli("pipeline", path)
     assert proc.returncode == EXIT_PRECISION
     assert "--allow-large" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "level, code",
+    [
+        (10**16 + 61, EXIT_PRECISION),
+        (10**18 + 3, EXIT_PRECISION),
+        (2**127 - 1, EXIT_PRECISION),
+        ((2**61 - 1) ** 2, EXIT_INPUT),  # not square-free
+    ],
+)
+def test_hostile_level_exits_promptly(tmp_path, level, code):
+    # the divisor sum of a huge level comes from its budgeted factorization
+    path = write_dataset(tmp_path, "hostile.json", level=level)
+    for args in (["pipeline", path], ["pipeline", path, "--allow-large"],
+                 ["express-j", path]):
+        proc = run_cli(*args, timeout=30)
+        assert proc.returncode == code, (args, proc.stderr)
+        assert "Traceback" not in proc.stderr
 
 
 def test_pipeline_corrupt_dataset(tmp_path):

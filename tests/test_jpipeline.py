@@ -23,6 +23,7 @@ from qstar.jpipeline import (
     LevelContext,
     PRECISION_MARGIN,
     _monomial_series,
+    divisors,
     expression_to_json,
     express_in_basis,
     evaluate_expression,
@@ -57,6 +58,14 @@ def test_context_divisors_and_sigma():
     assert ctx.divisors == (1, 5, 17, 85)
     assert ctx.m == 4
     assert ctx.sigma == 108
+
+
+def test_divisors():
+    assert divisors(1) == (1,)
+    assert divisors(85) == (1, 5, 17, 85)
+    assert divisors(12) == (1, 2, 3, 4, 6, 12)
+    # a large prime level is factored, not trial-divided up to its root
+    assert divisors(10**18 + 3) == (1, 10**18 + 3)
 
 
 def test_required_precision_values():

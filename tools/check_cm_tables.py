@@ -33,10 +33,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qstar.algnum import (
-    RHO_BUDGET,
     MultiQuadElement,
-    _factor_into_primes,
     identify_multiquadratic,
+    prime_factors,
     squarefree_kernel,
 )
 from qstar.cm import class_number, class_polynomial, one_class_per_genus
@@ -69,9 +68,7 @@ def _genus_real_span(d: int) -> frozenset:
     is the real subfield of the genus field, i.e. the positive part of the
     span of those prime discriminants.
     """
-    odd_primes: dict = {}
-    _factor_into_primes(-d // (d & -d), [RHO_BUDGET], odd_primes)  # odd part of |d|
-    discs = [p if p % 4 == 1 else -p for p in odd_primes]
+    discs = [p if p % 4 == 1 else -p for p in prime_factors(-d) if p > 2]
     rem = d // prod(discs)
     if rem != 1:
         if rem not in (-4, 8, -8):

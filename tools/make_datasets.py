@@ -36,10 +36,12 @@ from qstar.algnum import (  # noqa: E402
     MultiQuadElement,
     _iter_primes,
     _squarefree_mod_p,
+    prime_factors,
     squarefree_kernel,
 )
 from qstar.errors import InputError, QstarError  # noqa: E402
 from qstar.fixtures import fixture_curve  # noqa: E402
+from qstar.jpipeline import divisors  # noqa: E402
 from qstar.modular import (  # noqa: E402
     bundled_dataset_levels,
     coordinates,
@@ -54,7 +56,7 @@ from qstar.series import LaurentSeries  # noqa: E402
 
 def dataset_precision(level):
     """sigma(N) + 16: enough coefficients for the j pipeline at level N."""
-    return sum(k for k in range(1, level + 1) if level % k == 0) + 16
+    return sum(divisors(level)) + 16
 
 
 def eigenvalue(d, t, e=0):
@@ -67,20 +69,10 @@ def hecke_coefficients(nmax, prime_table, level):
     recursion at good p and a_{p^k} = a_p^k at p | level."""
     a = [None] * nmax
     a[1] = prime_table[2] ** 0
-    spf = list(range(nmax))  # smallest prime factor
-    for i in range(2, math.isqrt(nmax) + 1):
-        if spf[i] == i:
-            for j in range(i * i, nmax, i):
-                if spf[j] == j:
-                    spf[j] = i
     for n in range(2, nmax):
-        p = spf[n]
-        q, k = 1, 0
-        m = n
-        while m % p == 0:
-            m //= p
-            q *= p
-            k += 1
+        p, k = next(iter(prime_factors(n).items()))  # the smallest prime
+        q = p**k
+        m = n // q
         if m > 1:
             a[n] = a[m] * a[q]
         elif k == 1:
