@@ -508,15 +508,6 @@ def _pm_pow(base, e, mod, p):
     return result
 
 
-def _frobenius(f, p):
-    """x**p mod (f, p) for f monic mod p.
-
-    When f has degree >= 2 and is squarefree mod p, it splits into linear
-    factors mod p exactly when this is x: the roots are then all in F_p.
-    """
-    return _pm_pow([0, 1], p, f, p)
-
-
 def _pm_xgcd(a, b, p):
     """(g monic, s, t) with s*a + t*b = g in F_p[x]."""
     r0, r1 = a[:], b[:]
@@ -566,26 +557,38 @@ def _equal_degree_split(f, d, p, rng):
         return _equal_degree_split(w, d, p, rng) + _equal_degree_split(q, d, p, rng)
 
 
+def _distinct_degree(f, p):
+    """Yield (d, product of the degree-d factors) for monic squarefree f mod p.
+
+    d runs 1, 2, ... up to the largest factor degree, and a degree with no
+    factor gives [1].  The product for d is gcd(v, x**(p**d) - x), where v
+    is f without the factors of lower degree; once deg v < 2d, v itself is
+    irreducible.  Lazy, so a caller may stop after the degrees it needs.
+    """
+    h = [0, 1]  # x**(p**d) mod v
+    v = f
+    d = 0
+    while len(v) > 1:
+        d += 1
+        if len(v) - 1 < 2 * d:
+            g = v if len(v) - 1 == d else [1]
+        else:
+            h = _pm_pow(h, p, v, p)
+            g = _pm_gcd(v, _mod_poly(_zsub(h, [0, 1]), p), p)
+        yield d, g
+        if len(g) > 1:
+            v = _divmod_mod(v, g, p)[0]
+            h = _divmod_mod(h, v, p)[1]
+
+
 def _factor_mod_p(f, p, rng):
     """Monic squarefree f mod p -> list of monic irreducible factors."""
-    out = []
-    h = [0, 1]  # x
-    v = f[:]
-    d = 0
-    while len(v) - 1 > 2 * d:
-        d += 1
-        h = _pm_pow(h, p, v, p)
-        hx = _mod_poly(_zsub(h, [0, 1]), p)
-        g = _pm_gcd(v, hx, p) if hx else v[:]
-        if len(g) > 1:
-            out.extend(_equal_degree_split(g, d, p, rng))
-            v, r = _divmod_mod(v, g, p)
-            assert not r
-            if len(v) > 1:
-                h = _divmod_mod(h, v, p)[1]
-    if len(v) > 1:
-        out.append(v)
-    return out
+    return [
+        u
+        for d, g in _distinct_degree(f, p)
+        if len(g) > 1
+        for u in _equal_degree_split(g, d, p, rng)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -661,13 +664,9 @@ def _squarefree_mod_p(f, p) -> bool:
     return len(_pm_gcd(fp, _mod_poly(_zderiv(fp), p), p)) == 1
 
 
-def _choose_prime(f) -> int:
-    """Smallest p > 16 with p not dividing lc and f squarefree mod p."""
-    lead = f[-1]
-    for p in _iter_primes():
-        if p > 16 and lead % p and _squarefree_mod_p(f, p):
-            return p
-    raise FactorizationError("no usable prime below the sieve bound")  # pragma: no cover
+def _good_primes(f):
+    """The primes 16 < p <= _PRIME_BOUND with monic f squarefree mod p."""
+    return (p for p in _iter_primes() if p > 16 and _squarefree_mod_p(f, p))
 
 
 def _monicize(f):
@@ -690,7 +689,9 @@ def _factor_squarefree_monic(f) -> list:
     """Monic squarefree integer polynomial -> list of monic irreducible factors."""
     if len(f) - 1 <= 1:
         return [f]
-    p = _choose_prime(f)
+    p = next(_good_primes(f), None)
+    if p is None:  # pragma: no cover
+        raise FactorizationError("no usable prime below the sieve bound")
     rng = random.Random(p * 0x9E3779B9 ^ len(f))
     locals_ = sorted(_factor_mod_p(_mod_poly(f, p), p, rng))
     if len(locals_) == 1:
@@ -1019,17 +1020,12 @@ def _padic_roots(f, target):
     None. The linear factors are lifted as in the factoring (von zur Gathen
     and Gerhard, Modern Computer Algebra, ch. 14-15).
     """
-    for p in _iter_primes():
-        if p <= 16 or not _squarefree_mod_p(f, p):
-            continue
+    for p in _good_primes(f):
         fp = _mod_poly(f, p)
-        xp = _frobenius(fp, p)
-        if xp == [0, 1]:
+        degrees = _distinct_degree(fp, p)
+        if next(degrees)[1] == fp:  # every factor is linear
             break
-        # every factor must be quadratic: x**(p**2) = x and no root in F_p
-        if _pm_pow(xp, p, fp, p) != [0, 1]:
-            return None
-        if len(_pm_gcd(fp, _mod_poly(_zsub(xp, [0, 1]), p), p)) > 1:
+        if next(degrees)[1] != fp:  # not every factor is quadratic
             return None
     else:  # pragma: no cover
         return None

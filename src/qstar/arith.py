@@ -30,16 +30,16 @@ def exp_complex(x, y):
 
 
 def unique_integer(x):
-    """The only integer in the real interval x, or None if there is not one.
-
-    Reads the raw endpoints, so the test is exact at any precision.
-    """
-    a, b = x._mpi_
-    lo = libmp.to_int(a, "c")
-    hi = libmp.to_int(b, "f")
+    """The only integer in the real interval x, or None if there is not one."""
+    lo, hi = integer_bounds(x)
     return lo if lo == hi else None
 
 
-def ceil_upper(x) -> int:
-    """The least integer at or above every point of the real interval x."""
-    return libmp.to_int(x._mpi_[1], "c")
+def integer_bounds(x) -> tuple:
+    """(least, greatest) integer in the real interval x.
+
+    Reads the raw endpoints, so the rounding is exact at any precision; the
+    least exceeds the greatest when x holds no integer.
+    """
+    a, b = x._mpi_
+    return libmp.to_int(a, "c"), libmp.to_int(b, "f")

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 from .algnum import IntPolynomial, MultiQuadElement, field_label, poly_str
-from .cm import _class_polynomial_default, identify_cm
+from .cm import class_polynomial, identify_cm
 from .errors import (
     DatasetError,
     FactorizationError,
@@ -357,7 +357,7 @@ def cmd_identify_cm(args) -> int:
         data["match"] = None
         data["message"] = "no CM match"
     else:
-        echo = _class_polynomial_default(discriminant)  # built by identify_cm
+        echo = class_polynomial(discriminant)  # cached by identify_cm's build
         data["match"] = {
             "D": str(discriminant),
             "class_polynomial": poly_str(echo.poly),

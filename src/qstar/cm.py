@@ -16,17 +16,9 @@ from math import gcd, isqrt
 
 from mpmath import iv, ldexp
 
-from .arith import ceil_upper, exp_complex, iv_precision, unique_integer
+from .algnum import IntPolynomial
+from .arith import exp_complex, integer_bounds, iv_precision, unique_integer
 from .errors import InputError, PrecisionCapError, PrecisionError
-from .algnum import (
-    IntPolynomial,
-    _frobenius,
-    _iter_primes,
-    _mod_poly,
-    _squarefree_mod_p,
-    _zderiv,
-    _zgcd_poly,
-)
 from .series import j_expansion
 
 __all__ = [
@@ -220,12 +212,14 @@ def _default_scale(D: int, forms: tuple) -> int:
     return 128 + math.ceil(1.2 * math.pi * math.sqrt(-D) * inv_a / math.log(2))
 
 
+@lru_cache(maxsize=256)
 def class_polynomial(D: int, scale_bits: int = None) -> ClassPolynomial:
     """The monic integer polynomial whose roots are the j-invariants of D.
 
     Every coefficient is computed as an interval and certified when the
     interval holds exactly one integer; on failure the working precision
-    doubles, up to a hard cap of 2**22 bits.
+    doubles, up to a hard cap of 2**22 bits.  Results are cached, so the
+    CLI's echo of a CM match reuses the lookup's build.
     """
     forms = _reduced_forms(D)
     scale = scale_bits if scale_bits else _default_scale(D, forms)
@@ -264,11 +258,6 @@ def _class_polynomial_at(D: int, forms: tuple, scale: int) -> ClassPolynomial:
     return ClassPolynomial(D, IntPolynomial(tuple(out)), True)
 
 
-@lru_cache(maxsize=256)
-def _class_polynomial_default(D: int) -> ClassPolynomial:
-    return class_polynomial(D)
-
-
 # ---------------------------------------------------------------------------
 # CM identification
 
@@ -277,24 +266,24 @@ def _class_polynomial_default(D: int) -> ClassPolynomial:
 # Zannier, Math. Proc. Cambridge Philos. Soc. 2013, Lemma 1)
 _J_TAIL_BOUND = 2079
 
-# candidates are screened at this many odd primes p with g squarefree mod p
-_SCREEN_PRIMES = 24
-
-# the largest CM window identify_cm scans.  Every D with 0 < h(D) <= 16 and
-# |D| <= 300,000 has |D| <= 35,275, and the window of such an H_D is below
-# 36,000, so the cap refuses none of them.
+# the largest window end identify_cm accepts.  Every D with 0 < h(D) <= 16
+# and |D| <= 300,000 has |D| <= 35,275, and the window of every such H_D
+# ends within 2 of its |D|, so the cap refuses none of them.
 _WINDOW_CAP = 100_000
 
 
 def identify_cm(g: IntPolynomial):
     """The CM discriminant whose class polynomial equals g, or None.
 
-    Every D with H_D = g lies in the proven window |D| <= _cm_window(g); a
-    window above _WINDOW_CAP raises PrecisionError.  The class numbers of
-    the whole window come from one pass over reduced forms, and the
-    candidates are the D with h(D) = deg g, by ascending |D|.  Each must
-    pass the exact split-prime screen of _screen_rejects before H_D is
-    built, and the first exact match is the answer: distinct discriminants
+    Let g = H_D have degree h and trace T = -g_{h-1}, the sum of its roots,
+    and let X = e^{pi sqrt|D|} and s = sqrt X.  The principal form has
+    1/q = +-X, so its root lies within 2079 of +-X.  Every other reduced
+    form has a >= 2, so |1/q| = e^{pi sqrt|D| / a} <= s and its root has
+    |j| <= s + 2079.  Hence ||T| - X| <= 2079 h + (h - 1) s, which confines
+    s, and so |D| = (2 ln s / pi)**2, to the window of _cm_window.  A window
+    reaching past _WINDOW_CAP raises PrecisionError.  The candidates are the
+    n in the window with n = 0, 3 mod 4 and h(-n) = h, by ascending n, and
+    the first whose H_{-n} equals g is the answer: distinct discriminants
     have disjoint sets of j-invariants, so at most one H_D equals g.  A None
     therefore rests on exact steps only.
     """
@@ -302,129 +291,36 @@ def identify_cm(g: IntPolynomial):
         raise InputError("CM lookup supports degree 1 through 16")
     if not g.is_monic():
         raise InputError("CM lookup needs a monic polynomial")
-    if len(_zgcd_poly(g.coeffs, _zderiv(g.coeffs))) > 1:
-        # the j-invariants of distinct classes are distinct, so every H_D is
-        # squarefree (and a g that is not would leave the screen no prime)
-        return None
-    window = _cm_window(g)
-    if window > _WINDOW_CAP:
+    lo, hi = _cm_window(g)
+    if hi > _WINDOW_CAP:
         raise PrecisionError(
-            f"CM lookup window |D| <= {window} exceeds the budget of {_WINDOW_CAP}"
+            f"CM lookup window |D| <= {hi} exceeds the budget of {_WINDOW_CAP}"
         )
-    candidates = [-n for n, h in enumerate(_class_numbers(window)) if h == g.degree]
-    screen = _split_primes(g) if candidates else ()
-    for D in candidates:
-        if _screen_rejects(screen, D):
-            continue
-        if _class_polynomial_default(D).poly == g:
-            return D
+    for n in range(max(lo, 3), hi + 1):
+        if n % 4 in (0, 3) and class_number(-n) == g.degree:
+            if class_polynomial(-n).poly == g:
+                return -n
     return None
 
 
-def _cm_window(g: IntPolynomial) -> int:
-    """A W with |D| <= W for every D whose class polynomial is g.
+def _cm_window(g: IntPolynomial) -> tuple:
+    """(lo, hi) with lo <= |D| <= hi for every D whose class polynomial is g.
 
-    The principal form of D has tau = (-b + i sqrt|D|)/2, |1/q| = e^{pi sqrt|D|}
-    and so |j(tau)| >= e^{pi sqrt|D|} - 2079.  If g = H_D, that root is at
-    most the Fujiwara bound R = 2 max_k |c_{n-k}|**(1/k) on the roots of g,
-    taken here with integer k-th roots rounded up; hence
-    |D| <= (ln(R + 2079)/pi)**2.
+    From ||T| - s**2| <= 2079 h + (h - 1) s (see identify_cm): s is at most
+    the positive root of s**2 - (h - 1) s = |T| + 2079 h and, when
+    |T| - 2079 h >= h, at least the root of s**2 + (h - 1) s = |T| - 2079 h,
+    which is then >= 1.  Both roots and |D| = (2 ln s / pi)**2 are computed
+    in interval arithmetic.
     """
-    n = g.degree
-    R = 2 * max(_iroot_ceil(abs(c), n - i) for i, c in enumerate(g.coeffs[:-1]))
+    h = g.degree
+    trace = abs(g.coeffs[h - 1])
+    slack = _J_TAIL_BOUND * h
+
+    def root(k, c):  # the positive root of s**2 + k s = c
+        return (iv.sqrt(iv.mpf(k * k + 4 * c)) - k) / 2
+
     with iv_precision(64):
-        t = iv.log(iv.mpf(R + _J_TAIL_BOUND)) / iv.pi
-        return ceil_upper(t * t)
-
-
-def _iroot_ceil(n: int, k: int) -> int:
-    """The least r >= 0 with r**k >= n, for n >= 0."""
-    if n < 2:
-        return n
-    r = 1 << -(-n.bit_length() // k)  # r**k >= n
-    while True:  # Newton's step from above converges to floor(n**(1/k))
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            break
-        r = s
-    return r if r**k == n else r + 1
-
-
-def _class_numbers(W: int) -> list:
-    """h[n] = h(-n) for every discriminant -n with n <= W, and 0 elsewhere.
-
-    One pass counts every reduced form (a, b, c), primitive or not, with
-    4ac - b**2 <= W: for fixed a and b, the values 4ac - b**2 over c >= a
-    run along one arithmetic progression of step 4a.  A reduced form with
-    content k is k times a primitive reduced form of discriminant D / k**2,
-    so subtracting h(-n) from the count at n k**2 for every k >= 2, smallest
-    n first, leaves the primitive forms alone.
-    """
-    h = [0] * (W + 1)
-    for a in range(1, isqrt(W // 3) + 1):
-        step = 4 * a
-        for b in range(a + 1):
-            n = step * a - b * b  # c = a: the boundary form takes b >= 0
-            if n > W:
-                continue
-            h[n] += 1
-            # c > a: b and -b, except b = 0 and b = a (b = -a is not reduced)
-            m = 2 if 0 < b < a else 1
-            h[n + step :: step] = [v + m for v in h[n + step :: step]]
-    for n in range(3, W // 4 + 1):
-        if h[n]:
-            for k in range(2, isqrt(W // n) + 1):
-                h[n * k * k] -= h[n]
-    return h
-
-
-def _split_primes(g: IntPolynomial) -> list:
-    """[(p, g splits into linear factors mod p)] for the screen's primes.
-
-    These are the first _SCREEN_PRIMES odd primes p with g squarefree mod p;
-    g splits into linear factors exactly when x**p = x mod (g, p).  A linear
-    g splits mod every p, and every form of class number one is principal,
-    so the screen has nothing to reject at degree one.
-    """
-    if g.degree == 1:
-        return []
-    out = []
-    for p in _iter_primes():
-        if p == 2 or not _squarefree_mod_p(g.coeffs, p):
-            continue
-        out.append((p, _frobenius(_mod_poly(g.coeffs, p), p) == [0, 1]))
-        if len(out) == _SCREEN_PRIMES:
-            break
-    return out
-
-
-def _screen_rejects(screen: list, D: int) -> bool:
-    """Whether the split primes prove that H_D differs from g.
-
-    Let p be odd with (D/p) = 1, so p splits in K = Q(sqrt D) and does not
-    divide the conductor, and let H_D = g be squarefree mod p.  Then H_D
-    splits into linear factors mod p exactly when p splits completely in
-    Q(j), hence in the ring class field K(j), that is, when the primes of
-    the order above p are principal (Cox, Primes of the Form x^2 + ny^2,
-    section 9).  A mismatch at any such p proves H_D != g.
-    """
-    return any(
-        pow(D, (p - 1) // 2, p) == 1 and _prime_form_is_principal(D, p) != splits
-        for p, splits in screen
-    )
-
-
-def _prime_form_is_principal(D: int, p: int) -> bool:
-    """Whether the form (p, b, (b**2 - D)/4p) of a split odd prime reduces to a = 1."""
-    b = next(b for b in range(p) if (b * b - D) % p == 0)
-    if (b - D) % 2:
-        b += p  # b**2 = D mod 4p
-    a = p
-    while True:
-        b %= 2 * a
-        if b > a:
-            b -= 2 * a
-        c = (b * b - D) // (4 * a)
-        if c >= a:
-            return a == 1
-        a, b = c, -b
+        s_hi = root(1 - h, trace + slack)
+        s_lo = root(h - 1, trace - slack) if trace - slack >= h else iv.mpf(1)
+        t = 2 * iv.log(iv.mpf([s_lo.a, s_hi.b])) / iv.pi
+        return integer_bounds(t**2)

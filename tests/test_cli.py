@@ -1,5 +1,6 @@
 """Command-line frontend: subcommands, exit codes, report schema, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -394,8 +395,8 @@ def test_identify_cm_no_match():
 
 
 def test_identify_cm_huge_constant_answers_quickly():
-    # x - 10**200: a window of about 21,600 discriminants, affordable only
-    # when their class numbers are counted in one pass
+    # x - 10**200: the trace pins |D| strictly between 21,487 and 21,488, so
+    # the window holds no integer and nothing is built
     args = ["identify-cm", "--minpoly", "1", "-1" + 200 * "0"]
     proc = subprocess.run(
         [sys.executable, "-m", "qstar.cli", *args],
@@ -408,8 +409,9 @@ def test_identify_cm_huge_constant_answers_quickly():
 
 
 def test_identify_cm_window_over_budget_exits_quickly():
-    # x - 10**4000 has a window of 8,596,408 discriminants; its class-number
-    # table alone would take minutes, so the lookup refuses it up front
+    # x - 10**4000 has a window ending at |D| = 8,595,113, far past the cap
+    # of 100,000; counting reduced forms there would take seconds per
+    # candidate, so the lookup refuses it up front
     args = ["identify-cm", "--minpoly", "1", "-1" + 4000 * "0"]
     proc = subprocess.run(
         [sys.executable, "-m", "qstar.cli", *args],
@@ -424,19 +426,35 @@ def test_identify_cm_window_over_budget_exits_quickly():
 
 def test_identify_cm_builds_matched_polynomial_once(monkeypatch, capsys):
     built = []
+    build = qstar.cm._class_polynomial_at
 
-    def counting(D, scale_bits=None):
+    def counting(D, forms, scale):
         built.append(D)
-        return class_polynomial(D, scale_bits)
+        return build(D, forms, scale)
 
-    # replace every reference the package holds, as a tracer would
-    for mod in (qstar.cm, qstar.cli):
-        if hasattr(mod, "class_polynomial"):
-            monkeypatch.setattr(mod, "class_polynomial", counting)
-    qstar.cm._class_polynomial_default.cache_clear()
+    monkeypatch.setattr(qstar.cm, "_class_polynomial_at", counting)
+    qstar.cm.class_polynomial.cache_clear()
     assert qstar.cli.main(["identify-cm", "--minpoly", "1", "-54000"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["match"]["D"] == "-12"
     assert built.count(-12) == 1
+
+
+# sha256 of identify-cm's stdout for H_-5460 and H_-5460 + 1
+IDENTIFY_CM_DEGREE_16 = {
+    0: "3f752742d8bb207d3963cf94f92cdffa783e3b1c7d2b16a9161b2e969c187bb9",
+    1: "b711e52993bbc5aefb0d60246c8f526d962dcf519481eacd8ce5348b693021a2",
+}
+
+
+@pytest.mark.parametrize("shift", sorted(IDENTIFY_CM_DEGREE_16))
+def test_identify_cm_degree_16_stdout(shift, capsys):
+    coeffs = list(class_polynomial(-5460).poly.coeffs)
+    coeffs[0] += shift
+    argv = ["identify-cm", "--minpoly", *(str(c) for c in reversed(coeffs))]
+    assert qstar.cli.main(argv) == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == IDENTIFY_CM_DEGREE_16[shift]
+    assert (b'"D": "-5460"' in out) == (shift == 0)
 
 
 def test_identify_cm_input_errors():

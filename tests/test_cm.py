@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
@@ -152,12 +153,9 @@ def genus_count_exponent(D):
 
 def test_one_class_per_genus_matches_genus_count_oracle():
     # exponent <= 2 iff each genus holds one class, i.e. h(D) = 2**(mu - 1)
-    one_pass = qstar.cm._class_numbers(2000)
     for D in valid_discriminants(2000):
         expected = class_number(D) == 2 ** (genus_count_exponent(D) - 1)
         assert one_class_per_genus(D) == expected, D
-        assert one_pass[-D] == class_number(D), D
-    assert all(one_pass[n] == 0 for n in range(2001) if n % 4 in (1, 2))
 
 
 # every CM discriminant reported by the bundled result tables (one cell
@@ -386,25 +384,94 @@ def test_identify_cm_rejects_invalid():
 
 
 def test_identify_cm_roundtrip():
-    for D in valid_discriminants(400):
+    tried = 0
+    for D in valid_discriminants(600):
         if class_number(D) > 16:
             continue
+        tried += 1
         g = class_polynomial(D).poly
         assert identify_cm(g) == D, D
-        # the proven window holds D, and the split-prime screen never
-        # rejects D for its own class polynomial
-        assert qstar.cm._cm_window(g) >= -D, D
-        assert not qstar.cm._screen_rejects(qstar.cm._split_primes(g), D), D
+        lo, hi = qstar.cm._cm_window(g)
+        assert lo <= -D <= hi, D
+    assert tried == 286
+
+
+def class_numbers_upto(W: int) -> list:
+    """h[n] = h(-n) for every discriminant -n with n <= W, and 0 elsewhere.
+
+    One pass counts every reduced form (a, b, c), primitive or not, with
+    4ac - b**2 <= W: for fixed a and b, the values 4ac - b**2 over c >= a
+    run along one arithmetic progression of step 4a.  A reduced form with
+    content k is k times a primitive reduced form of discriminant D / k**2,
+    so subtracting h(-n) from the count at n k**2 for every k >= 2, smallest
+    n first, leaves the primitive forms alone.
+    """
+    h = [0] * (W + 1)
+    for a in range(1, isqrt(W // 3) + 1):
+        step = 4 * a
+        for b in range(a + 1):
+            n = step * a - b * b  # c = a: the boundary form takes b >= 0
+            if n > W:
+                continue
+            h[n] += 1
+            # c > a: b and -b, except b = 0 and b = a (b = -a is not reduced)
+            m = 2 if 0 < b < a else 1
+            h[n + step :: step] = [v + m for v in h[n + step :: step]]
+    for n in range(3, W // 4 + 1):
+        if h[n]:
+            for k in range(2, isqrt(W // n) + 1):
+                h[n * k * k] -= h[n]
+    return h
+
+
+def test_class_number_sieve_oracle_agrees_with_reduced_forms():
+    h = class_numbers_upto(2000)
+    for D in valid_discriminants(2000):
+        assert h[-D] == class_number(D), D
+    assert all(h[n] == 0 for n in range(2001) if n % 4 in (1, 2))
 
 
 def test_window_cap_refuses_no_class_polynomial_of_degree_16_or_less():
     # past |D| = 35,275 no discriminant up to 300,000 has class number <= 16
-    h = qstar.cm._class_numbers(300_000)
+    h = class_numbers_upto(300_000)
     assert [n for n in range(35_276, len(h)) if 0 < h[n] <= 16] == []
     assert h[35_275] == 16
-    # and the window of that largest one stays well inside the cap
-    g = class_polynomial(-35_275).poly
-    assert 35_275 <= qstar.cm._cm_window(g) < qstar.cm._WINDOW_CAP
+    # and the window of that largest one ends well inside the cap
+    lo, hi = qstar.cm._cm_window(class_polynomial(-35_275).poly)
+    assert lo <= 35_275 <= hi <= 35_277 < qstar.cm._WINDOW_CAP
+
+
+def _counting_builds(monkeypatch) -> list:
+    """The D of every class polynomial built from now on, in order."""
+    built = []
+    build = qstar.cm._class_polynomial_at
+
+    def spy(D, forms, scale):
+        built.append(D)
+        return build(D, forms, scale)
+
+    monkeypatch.setattr(qstar.cm, "_class_polynomial_at", spy)
+    return built
+
+
+def test_identify_cm_builds_about_once(monkeypatch):
+    h35275 = class_polynomial(-35_275).poly.coeffs
+    h5460 = class_polynomial(-5460).poly.coeffs
+    built = _counting_builds(monkeypatch)
+    cases = [
+        (h35275, -35_275, 1),
+        ((h5460[0] + 1,) + h5460[1:], None, 3),  # H_-5460 + 1
+        (h35275[:1] + (h35275[1] + 1,) + h35275[2:], None, 3),  # H_-35275 + x
+        ((10**4000,) + (0,) * 15 + (1,), None, 0),  # x**16 + 10**4000
+    ]
+    for coeffs, D, most in cases:
+        qstar.cm.class_polynomial.cache_clear()
+        built.clear()
+        start = time.perf_counter()
+        assert identify_cm(IntPolynomial(coeffs)) == D
+        assert time.perf_counter() - start < 5
+        assert len(built) <= most, built
+        assert D is None or built[-1] == D
 
 
 def test_j_tail_bound_from_the_series():
@@ -426,15 +493,9 @@ def test_j_tail_bound_from_the_series():
 
 
 def test_identify_cm_stops_at_the_match(monkeypatch):
-    built = []
-
-    def spy(D, scale_bits=None):
-        built.append(D)
-        return class_polynomial(D, scale_bits)
-
     g = class_polynomial(-595).poly
-    monkeypatch.setattr(qstar.cm, "class_polynomial", spy)
-    qstar.cm._class_polynomial_default.cache_clear()
+    built = _counting_builds(monkeypatch)
+    qstar.cm.class_polynomial.cache_clear()
     assert identify_cm(g) == -595
     assert built[-1] == -595
     assert all(D >= -595 for D in built), built
