@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -26,7 +25,7 @@ from typing import Optional
 
 import mpmath
 
-from .errors import FactorizationError, InputError
+from .errors import FactorizationError, InputError, Value
 
 __all__ = [
     "IntPolynomial",
@@ -52,7 +51,7 @@ def _small_primes(bound):
     for i in range(2, isqrt(bound) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, bound + 1, i)))
-    return [i for i in range(bound + 1) if sieve[i]]
+    return list(itertools.compress(range(bound + 1), sieve))
 
 
 # trial division and the choice of a modular prime stop at this bound
@@ -394,17 +393,16 @@ def _zgcd_poly(a, b):
 # IntPolynomial
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Value):
     """Dense integer polynomial; coefficients constant-term first."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        c = _trim([int(x) for x in self.coeffs])
+    def __init__(self, coeffs: tuple):
+        c = _trim([int(x) for x in coeffs])
         if not c:
             raise InputError("the zero polynomial is not allowed here")
-        object.__setattr__(self, "coeffs", tuple(c))
+        super().__init__(tuple(c))
 
     @classmethod
     def from_coeffs(cls, seq) -> "IntPolynomial":
@@ -847,8 +845,7 @@ def _checked_generators(gens: tuple) -> tuple:
     return gens
 
 
-@dataclass(frozen=True)
-class MultiQuadElement:
+class MultiQuadElement(Value):
     """An exact element of Q(sqrt(d1), ..., sqrt(dk)).
 
     coords[S] is the coordinate of prod_{i in S} sqrt(d_i) for the bitmask S.
@@ -862,16 +859,14 @@ class MultiQuadElement:
     f(theta) is false exactly when theta is a root of f.
     """
 
-    generators: tuple
-    coords: tuple
+    __slots__ = ("generators", "coords")
 
-    def __post_init__(self):
-        gens = _checked_generators(tuple(int(g) for g in self.generators))
-        coords = tuple(Fraction(c) for c in self.coords)
+    def __init__(self, generators: tuple, coords: tuple):
+        gens = _checked_generators(tuple(int(g) for g in generators))
+        coords = tuple(Fraction(c) for c in coords)
         if len(coords) != 1 << len(gens):
             raise InputError("coordinate count must be 2^k")
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "coords", coords)
+        super().__init__(gens, coords)
 
     @property
     def k(self) -> int:

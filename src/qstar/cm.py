@@ -10,7 +10,6 @@ its CM discriminant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -18,7 +17,7 @@ from mpmath import iv, ldexp
 
 from .algnum import IntPolynomial
 from .arith import exp_complex, integer_bounds, iv_precision, unique_integer
-from .errors import InputError, PrecisionCapError, PrecisionError
+from .errors import InputError, PrecisionCapError, PrecisionError, Value
 from .series import j_expansion
 
 __all__ = [
@@ -38,15 +37,13 @@ _PRECISION_CAP = 1 << 22
 # reduced forms
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(Value):
     """A reduced primitive positive-definite binary quadratic form."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
+    def __init__(self, a: int, b: int, c: int):
+        super().__init__(a, b, c)
         if self.a <= 0:
             raise InputError("form must be positive definite (a > 0)")
         if self.discriminant >= 0:
@@ -119,11 +116,11 @@ def one_class_per_genus(D: int) -> bool:
 # class polynomials
 
 
-@dataclass(frozen=True)
-class ClassPolynomial:
-    discriminant: int
-    poly: IntPolynomial
-    certified: bool
+class ClassPolynomial(Value):
+    __slots__ = ("discriminant", "poly", "certified")
+
+    def __init__(self, discriminant: int, poly: IntPolynomial, certified: bool):
+        super().__init__(discriminant, poly, certified)
 
 
 def _qbits(D: int, a: int) -> int:
@@ -280,18 +277,21 @@ def identify_cm(g: IntPolynomial):
     1/q = +-X, so its root lies within 2079 of +-X.  Every other reduced
     form has a >= 2, so |1/q| = e^{pi sqrt|D| / a} <= s and its root has
     |j| <= s + 2079.  Hence ||T| - X| <= 2079 h + (h - 1) s, which confines
-    s, and so |D| = (2 ln s / pi)**2, to the window of _cm_window.  A window
-    reaching past _WINDOW_CAP raises PrecisionError.  The candidates are the
-    n in the window with n = 0, 3 mod 4 and h(-n) = h, by ascending n, and
-    the first whose H_{-n} equals g is the answer: distinct discriminants
-    have disjoint sets of j-invariants, so at most one H_D equals g.  A None
-    therefore rests on exact steps only.
+    s, and so |D| = (2 ln s / pi)**2, to the window of _cm_window.  An empty
+    window (lo > hi) holds no |D| of any H_D equal to g, so it gives None at
+    once; a nonempty one reaching past _WINDOW_CAP raises PrecisionError.
+    The candidates are the n in the window with n = 0, 3 mod 4 and
+    h(-n) = h, by ascending n, and the first whose H_{-n} equals g is the
+    answer: distinct discriminants have disjoint sets of j-invariants, so at
+    most one H_D equals g.  A None therefore rests on exact steps only.
     """
     if not 1 <= g.degree <= 16:
         raise InputError("CM lookup supports degree 1 through 16")
     if not g.is_monic():
         raise InputError("CM lookup needs a monic polynomial")
     lo, hi = _cm_window(g)
+    if lo > hi:
+        return None
     if hi > _WINDOW_CAP:
         raise PrecisionError(
             f"CM lookup window |D| <= {hi} exceeds the budget of {_WINDOW_CAP}"

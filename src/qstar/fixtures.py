@@ -17,14 +17,13 @@ the machine-readable values are verified against the class polynomials by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Optional, Union
 
 from .algnum import MultiQuadElement
-from .errors import InputError
+from .errors import InputError, Value
 from .hyperelliptic import INF_MINUS, CurvePoint, SexticCurve
 
 __all__ = [
@@ -44,16 +43,21 @@ __all__ = [
 CMValue = Union[Fraction, MultiQuadElement, tuple]
 
 
-@dataclass(frozen=True)
-class CurveFixture:
+class CurveFixture(Value):
     """One bundled level: its sextic model and known rational points."""
 
-    level: int
-    curve: SexticCurve
-    points: tuple[CurvePoint, ...]  # affine points only, both signs expanded
-    points_complete: bool
-    # (x, y) pairs stored verbatim that do not lie on the stored curve
-    anomalous_points: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("level", "curve", "points", "points_complete", "anomalous_points")
+
+    def __init__(
+        self,
+        level: int,
+        curve: SexticCurve,
+        points: tuple[CurvePoint, ...],  # affine points only, both signs expanded
+        points_complete: bool,
+        # (x, y) pairs stored verbatim that do not lie on the stored curve
+        anomalous_points: tuple[tuple[Fraction, Fraction], ...],
+    ):
+        super().__init__(level, curve, points, points_complete, anomalous_points)
 
     def affine_count(self) -> int:
         return len(self.points)
@@ -97,18 +101,34 @@ def load_table() -> dict[int, CurveFixture]:
     return out
 
 
-@dataclass(frozen=True)
-class CMTableRow:
+class CMTableRow(Value):
     """Known CM data at one rational point of one level."""
 
-    level: int
-    point: CurvePoint
-    cm: bool
-    discriminants: tuple[int, ...]
-    j_values: tuple[CMValue, ...]  # parallel to discriminants for CM rows
-    display: str  # the cell as printed in the source table
-    anomaly: Optional[str]
-    as_printed: bool  # verbatim transcription of an inconsistent cell
+    __slots__ = (
+        "level",
+        "point",
+        "cm",
+        "discriminants",
+        "j_values",
+        "display",
+        "anomaly",
+        "as_printed",
+    )
+
+    def __init__(
+        self,
+        level: int,
+        point: CurvePoint,
+        cm: bool,
+        discriminants: tuple[int, ...],
+        j_values: tuple[CMValue, ...],  # parallel to discriminants for CM rows
+        display: str,  # the cell as printed in the source table
+        anomaly: Optional[str],
+        as_printed: bool,  # verbatim transcription of an inconsistent cell
+    ):
+        super().__init__(
+            level, point, cm, discriminants, j_values, display, anomaly, as_printed
+        )
 
 
 def _parse_cm_value(obj: dict) -> CMValue:

@@ -14,30 +14,23 @@ order n >= 3 is a combination of the monomials f5*f3^k, f4*f3^k, f3^(k+1);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, lcm
 from typing import Optional
 
 from .algnum import _zderiv, _zeval, _zgcd_poly, perfect_square_root
-from .errors import InputError
+from .errors import InputError, Value
 from .series import LaurentSeries
 
 
-@dataclass(frozen=True)
-class SexticCurve:
+class SexticCurve(Value):
     """y**2 = x**6 + a5 x**5 + a4 x**4 + a3 x**3 + a2 x**2 + a1 x + a0."""
 
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a5: Fraction
+    __slots__ = ("a0", "a1", "a2", "a3", "a4", "a5")
 
-    def __post_init__(self):
-        for name in ("a0", "a1", "a2", "a3", "a4", "a5"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, a0, a1, a2, a3, a4, a5):
+        super().__init__(*map(Fraction, (a0, a1, a2, a3, a4, a5)))
         f = self.f_coeffs()
         den = lcm(*(c.denominator for c in f))
         f = [int(c * den) for c in f]
@@ -78,17 +71,20 @@ class SexticCurve:
         return "y^2 = " + " ".join(terms)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    kind: str  # "affine" | "infinity_plus" | "infinity_minus"
-    x: Optional[Fraction] = None
-    y: Optional[Fraction] = None
+class CurvePoint(Value):
+    __slots__ = ("kind", "x", "y")
 
-    def __post_init__(self):
-        if self.kind not in ("affine", "infinity_plus", "infinity_minus"):
-            raise InputError(f"unknown point kind {self.kind!r}")
-        if self.kind == "affine" and (self.x is None or self.y is None):
+    def __init__(
+        self,
+        kind: str,  # "affine" | "infinity_plus" | "infinity_minus"
+        x: Optional[Fraction] = None,
+        y: Optional[Fraction] = None,
+    ):
+        if kind not in ("affine", "infinity_plus", "infinity_minus"):
+            raise InputError(f"unknown point kind {kind!r}")
+        if kind == "affine" and (x is None or y is None):
             raise InputError("affine point needs both coordinates")
+        super().__init__(kind, x, y)
 
     @property
     def is_affine(self) -> bool:
@@ -115,13 +111,14 @@ def involution(p: CurvePoint) -> CurvePoint:
     return CurvePoint(kind="affine", x=p.x, y=-p.y)
 
 
-@dataclass(frozen=True)
-class FGenerators:
+class FGenerators(Value):
     """f3 = P(x) + y/2, f4 = x*f3 + k4, f5 = x*f4 + k5."""
 
-    p: tuple  # the four coefficients of the cubic P, constant term first
-    k4: Fraction
-    k5: Fraction
+    __slots__ = ("p", "k4", "k5")
+
+    def __init__(self, p: tuple, k4: Fraction, k5: Fraction):
+        # p: the four coefficients of the cubic P, constant term first
+        super().__init__(p, k4, k5)
 
 
 def rr_generators(curve: SexticCurve) -> FGenerators:
@@ -180,18 +177,23 @@ def evaluate_f_series(gens: FGenerators, x: LaurentSeries, y: LaurentSeries):
     return (f3, f4, plus(x * f4, gens.k5))
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """gen * f3**k where gen is one of f3, f4, f5."""
+@total_ordering
+class Monomial(Value):
+    """gen * f3**k where gen is one of f3, f4, f5; ordered by (gen, k)."""
 
-    gen: str
-    k: int
+    __slots__ = ("gen", "k")
 
-    def __post_init__(self):
-        if self.gen not in ("f3", "f4", "f5"):
-            raise InputError(f"unknown generator {self.gen!r}")
-        if self.k < 0:
+    def __init__(self, gen: str, k: int):
+        if gen not in ("f3", "f4", "f5"):
+            raise InputError(f"unknown generator {gen!r}")
+        if k < 0:
             raise InputError("negative f3 power")
+        super().__init__(gen, k)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.gen, self.k) < (other.gen, other.k)
+        return NotImplemented
 
     @property
     def pole_order(self) -> int:

@@ -16,7 +16,6 @@ factor, and checks its own claims exactly before returning them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -35,6 +34,7 @@ from .errors import (
     InputError,
     InsufficientPrecisionError,
     QstarError,
+    Value,
 )
 from .hyperelliptic import (
     CurvePoint,
@@ -68,17 +68,16 @@ __all__ = [
 PRECISION_MARGIN = 12  # dataset coefficients needed beyond the deepest pole
 
 
-@dataclass(frozen=True)
-class FExpression:
+class FExpression(Value):
     """constant + sum of coeff * (gen * f3^k) over basis monomials."""
 
-    constant: Fraction
-    terms: tuple  # ((Monomial, Fraction), ...) by descending pole order
+    __slots__ = ("constant", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "constant", Fraction(self.constant))
+    def __init__(self, constant: Fraction, terms: tuple):
+        # terms: ((Monomial, Fraction), ...), stored by descending pole order
+        constant = Fraction(constant)
         seen = set()
-        for mono, coeff in self.terms:
+        for mono, coeff in terms:
             if not isinstance(mono, Monomial):
                 raise InputError("terms must be keyed by basis monomials")
             if coeff == 0:
@@ -86,10 +85,8 @@ class FExpression:
             if mono in seen:
                 raise InputError(f"duplicate monomial {mono}")
             seen.add(mono)
-        ordered = tuple(
-            sorted(self.terms, key=lambda t: -t[0].pole_order)
-        )
-        object.__setattr__(self, "terms", ordered)
+        ordered = tuple(sorted(terms, key=lambda t: -t[0].pole_order))
+        super().__init__(constant, ordered)
 
     def coefficient(self, mono: Monomial) -> Fraction:
         for m, c in self.terms:
@@ -118,20 +115,24 @@ def required_precision(level: int) -> int:
     return sum(divisors(level)) + PRECISION_MARGIN
 
 
-@dataclass(frozen=True)
-class LevelContext:
+class LevelContext(Value):
     """Immutable bundle of everything the pipeline needs for one level.
 
     Built only by from_data, which derives the sextic model from the dataset
     and expands its generators f3, f4, f5 as q-series.
     """
 
-    dataset: ModularDataset
-    divisors: tuple
-    curve: SexticCurve
-    generators: FGenerators
-    f_series: tuple  # (f3, f4, f5) LaurentSeries
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("dataset", "divisors", "curve", "generators", "f_series", "_cache")
+
+    def __init__(
+        self,
+        dataset: ModularDataset,
+        divisors: tuple,
+        curve: SexticCurve,
+        generators: FGenerators,
+        f_series: tuple,  # (f3, f4, f5) LaurentSeries
+    ):
+        super().__init__(dataset, divisors, curve, generators, f_series, {})
 
     @property
     def level(self) -> int:
@@ -331,27 +332,37 @@ def j_polynomial_at_point(ctx: LevelContext, p: CurvePoint) -> tuple:
 # point reports
 
 
-@dataclass(frozen=True)
-class FactorReport:
+class FactorReport(Value):
     """One irreducible factor of a j-polynomial, with its field."""
 
-    poly: IntPolynomial
-    multiplicity: int
-    field_kind: str  # "rational" | "quadratic" | "multiquadratic" | "opaque"
-    generators: tuple  # squarefree radicands when the field is identified
-    roots: tuple  # exact presentations (Fraction | MultiQuadElement)
+    __slots__ = ("poly", "multiplicity", "field_kind", "generators", "roots")
+
+    def __init__(
+        self,
+        poly: IntPolynomial,
+        multiplicity: int,
+        field_kind: str,  # "rational" | "quadratic" | "multiquadratic" | "opaque"
+        generators: tuple,  # squarefree radicands when the field is identified
+        roots: tuple,  # exact presentations (Fraction | MultiQuadElement)
+    ):
+        super().__init__(poly, multiplicity, field_kind, generators, roots)
 
 
-@dataclass(frozen=True)
-class PointReport:
+class PointReport(Value):
     """Everything the pipeline derives at one rational point."""
 
-    level: int
-    point: CurvePoint
-    j_coefficients: tuple  # monic, constant term first
-    factors: tuple
-    cm_entries: tuple  # Optional[int] discriminant per factor
-    timing: float
+    __slots__ = ("level", "point", "j_coefficients", "factors", "cm_entries", "timing")
+
+    def __init__(
+        self,
+        level: int,
+        point: CurvePoint,
+        j_coefficients: tuple,  # monic, constant term first
+        factors: tuple,
+        cm_entries: tuple,  # Optional[int] discriminant per factor
+        timing: float,
+    ):
+        super().__init__(level, point, j_coefficients, factors, cm_entries, timing)
 
 
 def _field_and_roots(f: IntPolynomial):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from math import lcm
@@ -25,6 +24,7 @@ from .errors import (
     InputError,
     InsufficientPrecisionError,
     NonIntegralCoefficientError,
+    Value,
 )
 from .hyperelliptic import SexticCurve
 from .series import LaurentSeries
@@ -48,30 +48,27 @@ __all__ = [
 _MIN_DERIVE_PRECISION = 16  # 6 solved coefficients + 10 residual terms
 
 
-@dataclass(frozen=True)
-class ModularDataset:
+class ModularDataset(Value):
     """Echelon basis pair of a level: h1 = q + 0 q^2 + ..., h2 = q^2 + ...
 
     ``h1`` lists the integer coefficients of q^1 ... q^(precision-1) and
     ``h2`` those of q^2 ... q^(precision-1).
     """
 
-    level: int
-    precision: int
-    h1: tuple
-    h2: tuple
+    __slots__ = ("level", "precision", "h1", "h2")
 
-    def __post_init__(self):
-        if self.level < 1 or squarefree_kernel(self.level)[1] != 1:
-            raise DatasetError(f"level must be square-free, got {self.level}")
-        if len(self.h1) != self.precision - 1 or len(self.h2) != self.precision - 2:
+    def __init__(self, level: int, precision: int, h1: tuple, h2: tuple):
+        if level < 1 or squarefree_kernel(level)[1] != 1:
+            raise DatasetError(f"level must be square-free, got {level}")
+        if len(h1) != precision - 1 or len(h2) != precision - 2:
             raise DatasetError("coefficient lists do not match the precision")
-        if not all(isinstance(c, int) for c in self.h1 + self.h2):
+        if not all(isinstance(c, int) for c in h1 + h2):
             raise DatasetError("coefficients must be integers")
-        if self.h1[0] != 1 or self.h1[1] != 0:
+        if h1[0] != 1 or h1[1] != 0:
             raise DatasetError("h1 must start q + 0*q^2")
-        if self.h2[0] != 1:
+        if h2[0] != 1:
             raise DatasetError("h2 must start q^2")
+        super().__init__(level, precision, h1, h2)
 
     def h1_series(self) -> LaurentSeries:
         return LaurentSeries(1, self.h1)
@@ -219,18 +216,41 @@ def derive_equation(data: ModularDataset) -> SexticCurve:
     return SexticCurve.from_coeffs(tuple(int(c) for c in reversed(found)))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Value):
     """Comparison of a dataset-derived sextic against an expected model."""
 
-    level: int
-    matches: bool
-    coefficient_match: Optional[tuple]  # (a0 ok, ..., a5 ok) when derivable
-    derived: Optional[tuple]  # (a0, ..., a5)
-    expected: tuple
-    extra_verified: int  # residual coefficients checked beyond the minimum
-    low_margin: bool
-    error: Optional[str] = None
+    __slots__ = (
+        "level",
+        "matches",
+        "coefficient_match",
+        "derived",
+        "expected",
+        "extra_verified",
+        "low_margin",
+        "error",
+    )
+
+    def __init__(
+        self,
+        level: int,
+        matches: bool,
+        coefficient_match: Optional[tuple],  # (a0 ok, ..., a5 ok) when derivable
+        derived: Optional[tuple],  # (a0, ..., a5)
+        expected: tuple,
+        extra_verified: int,  # residual coefficients checked beyond the minimum
+        low_margin: bool,
+        error: Optional[str] = None,
+    ):
+        super().__init__(
+            level,
+            matches,
+            coefficient_match,
+            derived,
+            expected,
+            extra_verified,
+            low_margin,
+            error,
+        )
 
 
 def validate_dataset(data: ModularDataset, expected: SexticCurve) -> ValidationReport:

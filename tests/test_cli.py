@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from mpmath import iv
 
@@ -408,20 +409,55 @@ def test_identify_cm_huge_constant_answers_quickly():
     assert json.loads(proc.stdout)["match"] is None
 
 
-def test_identify_cm_window_over_budget_exits_quickly():
-    # x - 10**4000 has a window ending at |D| = 8,595,113, far past the cap
-    # of 100,000; counting reduced forms there would take seconds per
-    # candidate, so the lookup refuses it up front
+def test_identify_cm_empty_window_answers_no_match():
+    # x - 10**4000 pins |D| strictly between 8,595,113 and 8,595,114: the
+    # window is empty, so the answer is exact and the budget never applies
     args = ["identify-cm", "--minpoly", "1", "-1" + 4000 * "0"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "qstar.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
+    proc = run_cli(*args, timeout=30)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["message"] == "no CM match"
+
+
+def test_identify_cm_window_over_budget_exits_quickly():
+    # x - round(e^(pi sqrt 100003)) has the window |D| = 100,003, past the
+    # cap of 100,000; counting reduced forms there would take seconds per
+    # candidate, so the lookup refuses it up front
+    with mpmath.workdps(500):
+        t = int(mpmath.nint(mpmath.exp(mpmath.pi * mpmath.sqrt(100003))))
+    proc = run_cli("identify-cm", "--minpoly", "1", str(-t), timeout=30)
     assert proc.returncode == EXIT_PRECISION
     assert proc.stdout == ""
     assert "window" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "minpoly",
+    [
+        ["1"] + ["0"] * 16 + ["1"],  # degree 17
+        ["2", "1"],  # not monic
+        ["1"] + [str(10**199 + i) for i in range(16)],  # 200-digit coefficients
+        ["1", "-1" + 4000 * "0"],  # x - 10**4000
+    ],
+    ids=["degree-17", "non-monic", "degree-16-huge", "x-minus-10^4000"],
+)
+def test_hostile_cm_input_exits_promptly(minpoly):
+    proc = run_cli("identify-cm", "--minpoly", *minpoly, timeout=10)
+    assert proc.returncode in (EXIT_OK, EXIT_MISMATCH, EXIT_INPUT, EXIT_PRECISION)
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # each CLI run is a fresh process, and these two modules with the code
+    # that dataclass decorators generate cost tens of milliseconds there
+    probe = (
+        "import sys, qstar.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_identify_cm_builds_matched_polynomial_once(monkeypatch, capsys):

@@ -60,6 +60,32 @@ def test_context_divisors_and_sigma():
     assert ctx.sigma == 108
 
 
+def test_value_classes_compare_hash_order_and_freeze():
+    p = SexticCurve.from_coeffs([9, -14, 9, -6, 6, -4]).point(F(2), F(-1))
+    assert repr(p) == "CurvePoint(kind='affine', x=Fraction(2, 1), y=Fraction(-1, 1))"
+    assert repr(INF_MINUS) == "CurvePoint(kind='infinity_minus', x=None, y=None)"
+    assert hash(p) == hash(("affine", F(2), F(-1)))
+    assert p != INF_MINUS and INF_MINUS != ("infinity_minus", None, None)
+    with pytest.raises(AttributeError):
+        p.x = F(3)
+    with pytest.raises(AttributeError):
+        del p.y
+    monos = [Monomial("f5", 0), Monomial("f3", 2), Monomial("f4", 0), Monomial("f3", 1)]
+    assert [str(m) for m in sorted(monos)] == ["f3^2", "f3^3", "f4", "f5"]
+    assert Monomial("f4", 0) > Monomial("f3", 9)
+    assert Monomial("f3", 1) <= Monomial("f3", 1)
+    assert {Monomial("f4", 1): 7}[Monomial("f4", 1)] == 7
+    # the per-context cache is private state: outside equality, hash and repr
+    ctx = _ctx(67)
+    twin = LevelContext(
+        ctx.dataset, ctx.divisors, ctx.curve, ctx.generators, ctx.f_series
+    )
+    j_expression(ctx, 1)
+    assert ctx._cache and not twin._cache
+    assert ctx == twin and hash(ctx) == hash(twin)
+    assert "_cache" not in repr(ctx)
+
+
 def test_divisors():
     assert divisors(1) == (1,)
     assert divisors(85) == (1, 5, 17, 85)
