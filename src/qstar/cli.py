@@ -68,8 +68,8 @@ EXIT_INPUT = 3
 EXIT_PRECISION = 4
 
 # levels whose divisor sum exceeds this must be requested explicitly with
-# --allow-large; on 2 cores, pipeline --height 100 took 1.9-3.1 s (level 165,
-# divisor sum 288) and 7.5-11.5 s (level 357, 576); 390 (1008) is unmeasured
+# --allow-large; on 2 cores, pipeline --height 100 took 1.8-2.4 s (level 165,
+# divisor sum 288) and 8.9-9.4 s (level 357, 576); 390 (1008) is unmeasured
 SIGMA_BUDGET = 150
 
 DEFAULT_HEIGHT = 100
@@ -168,7 +168,7 @@ def _report_data(r: PointReport) -> dict:
             }
             for f in r.factors
         ],
-        "cm_entries": [str(d) if d is not None else None for d in r.cm_entries],
+        "cm_entries": [str(f.cm) if f.cm is not None else None for f in r.factors],
     }
 
 
@@ -188,9 +188,10 @@ def _load_dataset_arg(arg: str) -> ModularDataset:
     path = Path(arg)
     if path.exists():
         try:
-            return dataset_from_json(json.loads(path.read_text()))
-        except json.JSONDecodeError as exc:
+            obj = json.loads(path.read_text())
+        except ValueError as exc:  # also integers past the int-to-str digit limit
             raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
+        return dataset_from_json(obj)
     if arg.isdigit():
         return load_dataset(int(arg))
     raise DatasetError(f"no such dataset file or bundled level: {arg}")
@@ -282,7 +283,11 @@ def cmd_pipeline(args) -> int:
             if p.kind != "infinity_plus"
         ]
         source = "search"
-    reports = [point_report(ctx, p) for p in points]
+    reports, seconds = [], []
+    for p in points:
+        t = time.perf_counter()
+        reports.append(point_report(ctx, p))
+        seconds.append(f"{time.perf_counter() - t:.6f}")
     data = {
         "level": str(ctx.level),
         "curve": _curve_json(ctx.curve),
@@ -294,7 +299,7 @@ def cmd_pipeline(args) -> int:
     meta = {
         "command": "pipeline",
         "elapsed_seconds": f"{time.perf_counter() - t0:.6f}",
-        "per_report_seconds": [f"{r.timing:.6f}" for r in reports],
+        "per_report_seconds": seconds,
     }
     _emit(data, meta, args.out)
     return EXIT_OK

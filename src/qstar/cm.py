@@ -119,9 +119,6 @@ def one_class_per_genus(D: int) -> bool:
 class ClassPolynomial(Value):
     __slots__ = ("discriminant", "poly", "certified")
 
-    def __init__(self, discriminant: int, poly: IntPolynomial, certified: bool):
-        super().__init__(discriminant, poly, certified)
-
 
 def _qbits(D: int, a: int) -> int:
     """A qbits with |q| = e^{-pi sqrt|D| / a} < 2**-qbits, for forms (a, b, c) of D.

@@ -46,12 +46,15 @@ class InputError(QstarError):
 class Value:
     """Base of the package's immutable value classes, built from ``__slots__``.
 
-    A subclass lists its fields in ``__slots__`` and sets them in its own
-    ``__init__`` through ``Value.__init__``, which takes one value per slot in
-    slot order. Two instances are equal when they have the same class and
-    equal public fields, the hash is that of the tuple of public fields, and
-    ``repr`` reads ``Name(field=value, ...)``. A slot whose name starts with
-    an underscore is private state that none of these see. Assigning to or
+    A subclass lists its fields in ``__slots__``; the constructor binds
+    positional and keyword arguments to them by name and raises TypeError
+    on a missing, unknown or repeated field or a surplus argument. A subclass
+    that checks or normalizes its arguments defines its own ``__init__`` and
+    passes one value per slot, in slot order, to ``Value.__init__``. Two
+    instances are equal when they have the same class and equal public
+    fields, the hash is that of the tuple of public fields, and ``repr``
+    reads ``Name(field=value, ...)``. A slot whose name starts with an
+    underscore is private state that none of these see. Assigning to or
     deleting any attribute raises AttributeError. Nothing is generated or
     compiled when a subclass is defined.
     """
@@ -65,9 +68,32 @@ class Value:
         # the tuple of public fields; attrgetter gives a bare value for one name
         cls._key = staticmethod(get if len(cls._fields) > 1 else lambda v: (get(v),))
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """One value per slot from positional and keyword arguments."""
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__qualname__}() takes {len(names)} fields, got {len(args)}"
+            )
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls.__qualname__}() has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__qualname__}() got field {name!r} twice")
+            values[name] = value
+        missing = [n for n in names if n not in values]
+        if missing:
+            raise TypeError(f"{cls.__qualname__}() is missing fields {missing}")
+        return tuple(values[n] for n in names)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import Optional, Union
+from typing import Union
 
 from .algnum import MultiQuadElement
 from .errors import InputError, Value
@@ -46,18 +46,13 @@ CMValue = Union[Fraction, MultiQuadElement, tuple]
 class CurveFixture(Value):
     """One bundled level: its sextic model and known rational points."""
 
-    __slots__ = ("level", "curve", "points", "points_complete", "anomalous_points")
-
-    def __init__(
-        self,
-        level: int,
-        curve: SexticCurve,
-        points: tuple[CurvePoint, ...],  # affine points only, both signs expanded
-        points_complete: bool,
-        # (x, y) pairs stored verbatim that do not lie on the stored curve
-        anomalous_points: tuple[tuple[Fraction, Fraction], ...],
-    ):
-        super().__init__(level, curve, points, points_complete, anomalous_points)
+    __slots__ = (
+        "level",
+        "curve",
+        "points",  # affine points only, both signs expanded
+        "points_complete",
+        "anomalous_points",  # (x, y) pairs stored verbatim that miss the curve
+    )
 
     def affine_count(self) -> int:
         return len(self.points)
@@ -109,26 +104,11 @@ class CMTableRow(Value):
         "point",
         "cm",
         "discriminants",
-        "j_values",
-        "display",
+        "j_values",  # CMValues parallel to discriminants for CM rows
+        "display",  # the cell as printed in the source table
         "anomaly",
-        "as_printed",
+        "as_printed",  # verbatim transcription of an inconsistent cell
     )
-
-    def __init__(
-        self,
-        level: int,
-        point: CurvePoint,
-        cm: bool,
-        discriminants: tuple[int, ...],
-        j_values: tuple[CMValue, ...],  # parallel to discriminants for CM rows
-        display: str,  # the cell as printed in the source table
-        anomaly: Optional[str],
-        as_printed: bool,  # verbatim transcription of an inconsistent cell
-    ):
-        super().__init__(
-            level, point, cm, discriminants, j_values, display, anomaly, as_printed
-        )
 
 
 def _parse_cm_value(obj: dict) -> CMValue:

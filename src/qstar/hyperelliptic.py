@@ -114,11 +114,7 @@ def involution(p: CurvePoint) -> CurvePoint:
 class FGenerators(Value):
     """f3 = P(x) + y/2, f4 = x*f3 + k4, f5 = x*f4 + k5."""
 
-    __slots__ = ("p", "k4", "k5")
-
-    def __init__(self, p: tuple, k4: Fraction, k5: Fraction):
-        # p: the four coefficients of the cubic P, constant term first
-        super().__init__(p, k4, k5)
+    __slots__ = ("p", "k4", "k5")  # p: the cubic P's coefficients, constant first
 
 
 def rr_generators(curve: SexticCurve) -> FGenerators:

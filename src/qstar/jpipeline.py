@@ -15,7 +15,6 @@ factor, and checks its own claims exactly before returning them.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -333,51 +332,46 @@ def j_polynomial_at_point(ctx: LevelContext, p: CurvePoint) -> tuple:
 
 
 class FactorReport(Value):
-    """One irreducible factor of a j-polynomial, with its field."""
+    """One irreducible factor of a j-polynomial, with its field and CM."""
 
-    __slots__ = ("poly", "multiplicity", "field_kind", "generators", "roots")
+    # roots: exact presentations (Fraction | MultiQuadElement), () when the
+    # field is opaque; cm: the CM discriminant, or None
+    __slots__ = ("poly", "multiplicity", "roots", "cm")
 
-    def __init__(
-        self,
-        poly: IntPolynomial,
-        multiplicity: int,
-        field_kind: str,  # "rational" | "quadratic" | "multiquadratic" | "opaque"
-        generators: tuple,  # squarefree radicands when the field is identified
-        roots: tuple,  # exact presentations (Fraction | MultiQuadElement)
-    ):
-        super().__init__(poly, multiplicity, field_kind, generators, roots)
+    @property
+    def field_kind(self) -> str:
+        """Opaque without exact roots, otherwise told apart by the degree."""
+        if not self.roots:
+            return "opaque"
+        return {1: "rational", 2: "quadratic"}.get(self.poly.degree, "multiquadratic")
+
+    @property
+    def generators(self) -> tuple:
+        """Squarefree radicands of a quadratic or multiquadratic field, else ()."""
+        if self.roots and self.poly.degree > 1:
+            return self.roots[0].generators
+        return ()
 
 
 class PointReport(Value):
     """Everything the pipeline derives at one rational point."""
 
-    __slots__ = ("level", "point", "j_coefficients", "factors", "cm_entries", "timing")
-
-    def __init__(
-        self,
-        level: int,
-        point: CurvePoint,
-        j_coefficients: tuple,  # monic, constant term first
-        factors: tuple,
-        cm_entries: tuple,  # Optional[int] discriminant per factor
-        timing: float,
-    ):
-        super().__init__(level, point, j_coefficients, factors, cm_entries, timing)
+    # j_coefficients: monic, constant term first
+    __slots__ = ("level", "point", "j_coefficients", "factors")
 
 
-def _field_and_roots(f: IntPolynomial):
-    """Identify the field cut out by an irreducible factor, with exact roots."""
+def _exact_roots(f: IntPolynomial) -> tuple:
+    """Exact roots: the rational one, both surds, or a primitive element, else ()."""
     if f.degree == 1:
         c0, c1 = f.coeffs
-        return "rational", (), (Fraction(-c0, c1),)
+        return (Fraction(-c0, c1),)
     if f.degree == 2:
-        root, conj = quadratic_surd_roots(f)
-        return "quadratic", root.generators, (root, conj)
+        return quadratic_surd_roots(f)
     if f.degree in (4, 8, 16):
         elem = identify_multiquadratic(f)
         if elem is not None:
-            return "multiquadratic", tuple(elem.generators), (elem,)
-    return "opaque", (), ()
+            return (elem,)
+    return ()
 
 
 def _check_roots(f: IntPolynomial, roots: tuple) -> None:
@@ -399,28 +393,19 @@ def _check_product(factors: tuple, monic_coeffs: tuple) -> None:
 
 def point_report(ctx: LevelContext, p: CurvePoint) -> PointReport:
     """Derive, factor, and identify the j-polynomial at one point."""
-    t0 = time.perf_counter()
     coeffs = j_polynomial_at_point(ctx, p)
     den = lcm(*(c.denominator for c in coeffs))
     ipoly = IntPolynomial([int(c * den) for c in coeffs])
     factors = []
-    cm_entries = []
     for f, mult in factor_rational(ipoly):
-        kind, gens, roots = _field_and_roots(f)
+        roots = _exact_roots(f)
         _check_roots(f, roots)
-        factors.append(FactorReport(f, mult, kind, gens, roots))
         # CM j-invariants are algebraic integers: only monic factors qualify
-        cm_entries.append(identify_cm(f) if f.is_monic() else None)
+        cm = identify_cm(f) if f.is_monic() else None
+        factors.append(FactorReport(f, mult, roots, cm))
     factors = tuple(factors)
     _check_product(factors, coeffs)
-    return PointReport(
-        level=ctx.level,
-        point=p,
-        j_coefficients=coeffs,
-        factors=factors,
-        cm_entries=tuple(cm_entries),
-        timing=time.perf_counter() - t0,
-    )
+    return PointReport(ctx.level, p, coeffs, factors)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,8 @@ class ModularDataset(Value):
     def __init__(self, level: int, precision: int, h1: tuple, h2: tuple):
         if level < 1 or squarefree_kernel(level)[1] != 1:
             raise DatasetError(f"level must be square-free, got {level}")
+        if precision < 3:
+            raise DatasetError(f"precision must be at least 3, got {precision}")
         if len(h1) != precision - 1 or len(h2) != precision - 2:
             raise DatasetError("coefficient lists do not match the precision")
         if not all(isinstance(c, int) for c in h1 + h2):
@@ -221,36 +223,26 @@ class ValidationReport(Value):
 
     __slots__ = (
         "level",
-        "matches",
-        "coefficient_match",
-        "derived",
+        "derived",  # (a0, ..., a5), or None when the derivation failed
         "expected",
-        "extra_verified",
-        "low_margin",
-        "error",
+        "extra_verified",  # residual coefficients checked beyond the minimum
+        "error",  # why the derivation failed, or None
     )
 
-    def __init__(
-        self,
-        level: int,
-        matches: bool,
-        coefficient_match: Optional[tuple],  # (a0 ok, ..., a5 ok) when derivable
-        derived: Optional[tuple],  # (a0, ..., a5)
-        expected: tuple,
-        extra_verified: int,  # residual coefficients checked beyond the minimum
-        low_margin: bool,
-        error: Optional[str] = None,
-    ):
-        super().__init__(
-            level,
-            matches,
-            coefficient_match,
-            derived,
-            expected,
-            extra_verified,
-            low_margin,
-            error,
-        )
+    @property
+    def coefficient_match(self) -> Optional[tuple]:
+        """(a0 ok, ..., a5 ok) when derivable."""
+        if self.derived is None:
+            return None
+        return tuple(a == b for a, b in zip(self.derived, self.expected))
+
+    @property
+    def matches(self) -> bool:
+        return self.derived is not None and all(self.coefficient_match)
+
+    @property
+    def low_margin(self) -> bool:
+        return self.extra_verified == 0
 
 
 def validate_dataset(data: ModularDataset, expected: SexticCurve) -> ValidationReport:
@@ -263,27 +255,10 @@ def validate_dataset(data: ModularDataset, expected: SexticCurve) -> ValidationR
         NonIntegralCoefficientError,
         InsufficientPrecisionError,
     ) as exc:
-        return ValidationReport(
-            level=data.level,
-            matches=False,
-            coefficient_match=None,
-            derived=None,
-            expected=expected_coeffs,
-            extra_verified=0,
-            low_margin=True,
-            error=str(exc),
-        )
-    derived_coeffs = tuple(derived.f_coeffs()[:6])
-    per_coeff = tuple(a == b for a, b in zip(derived_coeffs, expected_coeffs))
+        return ValidationReport(data.level, None, expected_coeffs, 0, str(exc))
     extra = max(0, (data.precision - 9) - 10)
     return ValidationReport(
-        level=data.level,
-        matches=all(per_coeff),
-        coefficient_match=per_coeff,
-        derived=derived_coeffs,
-        expected=expected_coeffs,
-        extra_verified=extra,
-        low_margin=extra == 0,
+        data.level, tuple(derived.f_coeffs()[:6]), expected_coeffs, extra, None
     )
 
 

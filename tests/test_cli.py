@@ -96,6 +96,30 @@ def test_derive_equation_rejects_non_integer_json(tmp_path):
         assert proc.stdout == "" and "malformed dataset JSON" in proc.stderr, name
 
 
+def test_short_or_unparseable_dataset_files_exit_3_without_traceback(tmp_path):
+    # precision 2 leaves h1 without its q^2 term and h2 empty; json.dumps
+    # cannot write a bare integer past the int-to-str digit limit
+    huge = b"1" + b"0" * 5000
+    head = b'{"format":1,"level":'
+    files = {
+        "precision_2.json": (head + b'67,"precision":2,"h1":[1],"h2":[]}',
+                             "precision must be at least 3"),
+        "big_level.json": (head + huge + b',"precision":3,"h1":[1,0],"h2":[1]}',
+                           "not valid JSON"),
+        "big_h2.json": (head + b'67,"precision":3,"h1":[1,0],"h2":[' + huge + b"]}",
+                        "not valid JSON"),
+        "not_utf8.json": (b"\xff" + head + b"67}", "not valid JSON"),
+    }
+    for name, (content, message) in files.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        for command in ("derive-equation", "pipeline", "express-j"):
+            proc = run_cli(command, str(path))
+            assert proc.returncode == EXIT_INPUT, (name, command, proc.stderr)
+            assert proc.stdout == "" and "Traceback" not in proc.stderr
+            assert proc.stderr.startswith("input error") and message in proc.stderr
+
+
 def test_derive_equation_missing_file():
     proc = run_cli("derive-equation", "/nonexistent/ds.json")
     assert proc.returncode == EXIT_INPUT

@@ -1,9 +1,12 @@
 """Golden stdout: the CLI's bytes for fixed commands must not drift.
 
-Each digest is the sha256 and byte length of stdout for one command, taken
-before the point-report arithmetic moved to Newton-lifted roots, integer
-reduction and Horner evaluation. A change that claims byte-identical output
-must leave every entry here as it is.
+Each digest is the sha256 and byte length of stdout for one command. The
+pipeline and express-j entries were taken before the point-report
+arithmetic moved to Newton-lifted roots, integer reduction and Horner
+evaluation; the validate-all, derive-equation, identify-cm and
+search-points entries before the value classes derived their constructors
+and the reports read their fields from the exact roots. A change that
+claims byte-identical output must leave every entry here as it is.
 """
 
 import hashlib
@@ -37,6 +40,16 @@ GOLDEN = {
         20922, "a54461c3ea33f3f86ca8c8f7a84af8ca0f58be5f90c988a3e91bed7be513d53a"),
     ("pipeline", "85", "--point", "3/2,-17/8"): (
         2316, "e20716312fe546f562d0b07c386f9f4a68a1bca383804969d6f1548e8586a04b"),
+    ("validate-all",): (
+        964, "dab71a751bc3adb56513070e4ce8d1fcf2d66eed3e734a5240ad478d4544d13e"),
+    ("derive-equation", "85", "--check-table"): (
+        318, "d050bd490e48170ec2be380e4320576d65e30a47b5cd37077096a1d3e1a69d9e"),
+    ("identify-cm", "--minpoly", "1", "-54000"): (
+        120, "e06f33c0efb38e27495491fc9b26aa8e36ec3685bd7e6f801bea7ff82bd4d7d4"),
+    ("search-points", "--level", "73"): (
+        114, "f9629fc02dad63f1bec3c94c91343233cca896ce78c8997045cea3ee14c7b4eb"),
+    ("search-points", "--level", "73", "--json"): (
+        719, "1b1b18ef93711bd5ae09d2ccea13655e02dd2340ebaf04c75dc8f4d957d10c00"),
 }
 
 

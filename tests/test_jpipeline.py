@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from qstar.algnum import IntPolynomial
+from qstar.cli import _report_data
+from qstar.cm import ClassPolynomial
 from qstar.errors import (
     InconsistentDatasetError,
     InputError,
@@ -19,8 +22,10 @@ from qstar.hyperelliptic import (
     monomial_for_order,
 )
 from qstar.jpipeline import (
+    FactorReport,
     FExpression,
     LevelContext,
+    PointReport,
     PRECISION_MARGIN,
     _monomial_series,
     divisors,
@@ -29,11 +34,17 @@ from qstar.jpipeline import (
     evaluate_expression,
     j_expression,
     j_polynomial_at_point,
+    point_report,
     required_precision,
     symmetric_j_series,
 )
 import qstar.modular
-from qstar.modular import dataset_from_json, dataset_to_json, load_dataset
+from qstar.modular import (
+    ValidationReport,
+    dataset_from_json,
+    dataset_to_json,
+    load_dataset,
+)
 from qstar.series import LaurentSeries
 from qstar.fixtures import fixture_curve
 
@@ -84,6 +95,56 @@ def test_value_classes_compare_hash_order_and_freeze():
     assert ctx._cache and not twin._cache
     assert ctx == twin and hash(ctx) == hash(twin)
     assert "_cache" not in repr(ctx)
+
+
+def test_value_constructor_binds_fields_by_name():
+    poly = IntPolynomial((3375, 1))
+    by_position = ClassPolynomial(-7, poly, True)
+    assert ClassPolynomial(-7, poly=poly, certified=True) == by_position
+    assert ClassPolynomial(certified=True, discriminant=-7, poly=poly) == by_position
+    with pytest.raises(TypeError, match="missing"):
+        ClassPolynomial(-7, poly)
+    with pytest.raises(TypeError, match="no field 'timing'"):
+        ClassPolynomial(-7, poly, True, timing=0.5)
+    with pytest.raises(TypeError, match="takes 3 fields"):
+        ClassPolynomial(-7, poly, True, None)
+    with pytest.raises(TypeError, match="twice"):
+        ClassPolynomial(-7, poly, True, certified=True)
+
+
+def test_reports_store_only_underived_fields():
+    assert FactorReport._fields == ("poly", "multiplicity", "roots", "cm")
+    assert PointReport._fields == ("level", "point", "j_coefficients", "factors")
+    assert ValidationReport._fields == (
+        "level", "derived", "expected", "extra_verified", "error"
+    )
+
+
+def test_point_report_is_a_value_read_from_its_roots():
+    ctx = _ctx(85)
+    curve = ctx.curve
+    # (point, [(field kind, generators, CM discriminant) per factor])
+    cases = (
+        (INF_MINUS, [("rational", (), -19)]),
+        (curve.point(0, 5), [("quadratic", (5,), -35)]),
+        (curve.point(F(3, 2), F(17, 8)), [("quadratic", (17,), -51)]),
+        (curve.point(F(3, 2), F(-17, 8)), [("multiquadratic", (17, -95), None)]),
+    )
+    for p, expected in cases:
+        report = point_report(ctx, p)
+        assert report == point_report(ctx, p)
+        assert hash(report) == hash(point_report(ctx, p))
+        got = [(f.field_kind, f.generators, f.cm) for f in report.factors]
+        assert got == expected, p
+        data = _report_data(report)
+        for f, fj in zip(report.factors, data["factors"]):
+            assert fj["field"]["kind"] == f.field_kind
+            assert fj["field"].get("generators", []) == [str(g) for g in f.generators]
+        cms = [None if d is None else str(d) for *_, d in expected]
+        assert data["cm_entries"] == cms
+    # the 5th cyclotomic field is cyclic of degree 4, not multiquadratic
+    opaque = FactorReport(IntPolynomial((1, 1, 1, 1, 1)), 1, (), None)
+    assert (opaque.field_kind, opaque.generators) == ("opaque", ())
 
 
 def test_divisors():
