@@ -189,7 +189,7 @@ def _load_dataset_arg(arg: str) -> ModularDataset:
     if path.exists():
         try:
             obj = json.loads(path.read_text())
-        except ValueError as exc:  # also integers past the int-to-str digit limit
+        except ValueError as exc:  # also over-long integers and non-UTF-8 bytes
             raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
         return dataset_from_json(obj)
     if arg.isdigit():
