@@ -404,10 +404,6 @@ class IntPolynomial(Value):
             raise InputError("the zero polynomial is not allowed here")
         super().__init__(tuple(c))
 
-    @classmethod
-    def from_coeffs(cls, seq) -> "IntPolynomial":
-        return cls(tuple(seq))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -54,9 +54,6 @@ class CurveFixture(Value):
         "anomalous_points",  # (x, y) pairs stored verbatim that miss the curve
     )
 
-    def affine_count(self) -> int:
-        return len(self.points)
-
 
 def _read_raw() -> dict:
     text = resources.files("qstar.data").joinpath("table1.json").read_text()

@@ -7,15 +7,13 @@ branch with limit +1 (``INF_PLUS``) and its image under the hyperelliptic
 involution (``INF_MINUS``).
 
 The generators f3, f4, f5 have poles only at INF_PLUS, of orders 3, 4, 5,
-vanish at INF_MINUS, and every function regular outside INF_PLUS with pole
-order n >= 3 is a combination of the monomials f5*f3^k, f4*f3^k, f3^(k+1);
-``monomial_for_order`` names the unique monomial of each pole order.
+vanish at INF_MINUS, and every function regular outside INF_PLUS is a
+constant plus a combination of f5*f3^k, f4*f3^k, f3^(k+1) (see jpipeline).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from math import gcd, lcm
 from typing import Optional
 
@@ -40,7 +38,7 @@ class SexticCurve(Value):
     @classmethod
     def from_coeffs(cls, coeffs) -> "SexticCurve":
         """coeffs = (a0, ..., a5), constant term first."""
-        return cls(*[Fraction(c) for c in coeffs])
+        return cls(*coeffs)
 
     def f_coeffs(self):
         """[a0, ..., a5, 1], constant term first."""
@@ -173,50 +171,6 @@ def evaluate_f_series(gens: FGenerators, x: LaurentSeries, y: LaurentSeries):
     return (f3, f4, plus(x * f4, gens.k5))
 
 
-@total_ordering
-class Monomial(Value):
-    """gen * f3**k where gen is one of f3, f4, f5; ordered by (gen, k)."""
-
-    __slots__ = ("gen", "k")
-
-    def __init__(self, gen: str, k: int):
-        if gen not in ("f3", "f4", "f5"):
-            raise InputError(f"unknown generator {gen!r}")
-        if k < 0:
-            raise InputError("negative f3 power")
-        super().__init__(gen, k)
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.gen, self.k) < (other.gen, other.k)
-        return NotImplemented
-
-    @property
-    def pole_order(self) -> int:
-        base = {"f3": 3, "f4": 4, "f5": 5}[self.gen]
-        return base + 3 * self.k
-
-    def __str__(self):
-        if self.gen == "f3":
-            return "f3" if self.k == 0 else f"f3^{self.k + 1}"
-        return f"{self.gen}" + (f"*f3^{self.k}" if self.k else "")
-
-
-def monomial_for_order(n: int) -> Monomial:
-    """The unique basis monomial with pole order exactly n (n >= 3).
-
-    Orders 1 and 2 are gaps: no function has such a pole there.
-    """
-    if n < 3:
-        raise InputError(f"no basis monomial of pole order {n}")
-    r = n % 3
-    if r == 0:
-        return Monomial("f3", n // 3 - 1)
-    if r == 1:
-        return Monomial("f4", (n - 4) // 3)
-    return Monomial("f5", (n - 5) // 3)
-
-
 # Odd primes of the sieve. Each one halves the survivors, roughly, and the
 # AND chain for a v stops as soon as no u is left, so primes past the point
 # where that usually happens cost almost nothing.
@@ -328,9 +282,7 @@ def search_points(curve: SexticCurve, height_bound: int) -> list:
     for u, v, s in search_sextic(int_coeffs, height_bound):
         x = Fraction(u, v)
         y = Fraction(s, den_lcm * v**3)
-        if s == 0:
-            out.append(CurvePoint(kind="affine", x=x, y=Fraction(0)))
-        else:
-            out.append(CurvePoint(kind="affine", x=x, y=y))
+        out.append(CurvePoint(kind="affine", x=x, y=y))
+        if s:
             out.append(CurvePoint(kind="affine", x=x, y=-y))
     return out

@@ -1,11 +1,13 @@
-"""Symmetric functions of {j(dz) : d | N} in the f-monomial basis.
+"""Symmetric functions of {j(dz) : d | N} in the f3, f4, f5 basis.
 
 The elementary symmetric functions J_1 ... J_m of the modular j-invariants
 at the divisor scalings of z are holomorphic away from one cusp, so each is
-a linear combination of the monomials {f5 f3^k, f4 f3^k, f3^(k+1)} plus a
-constant.  The combination is found by greedy pole-order reduction (each
-basis monomial has a distinct pole order, making the system triangular) and
-certified by the vanishing of the residual tail.  Evaluating the
+a linear combination of the basis {f5 f3^k, f4 f3^k, f3^(k+1)} plus a
+constant.  The basis element of pole order n >= 3 is f(3+g) f3^k with
+g = n % 3 and k = n // 3 - 1; this module is the one place that knows it.
+The combination is found by greedy pole-order reduction (each basis element
+has a distinct pole order, making the system triangular) and certified by
+the vanishing of the residual tail.  Evaluating the
 combinations at a rational point of the sextic model and assembling
 z^m + sum (-1)^i J_i z^(m-i) gives the monic polynomial whose roots are the
 j-invariants attached to that point.  point_report factors that
@@ -38,11 +40,9 @@ from .errors import (
 from .hyperelliptic import (
     CurvePoint,
     FGenerators,
-    Monomial,
     SexticCurve,
     evaluate_f,
     evaluate_f_series,
-    monomial_for_order,
     rr_generators,
 )
 from .modular import ModularDataset, coordinate_series, derive_equation
@@ -68,37 +68,13 @@ PRECISION_MARGIN = 12  # dataset coefficients needed beyond the deepest pole
 
 
 class FExpression(Value):
-    """constant + sum of coeff * (gen * f3^k) over basis monomials."""
+    """constant + f3*P0(f3) + f4*P1(f3) + f5*P2(f3).
 
-    __slots__ = ("constant", "terms")
+    polys[g][k] is the coefficient of f(3+g) * f3^k, the basis element of
+    pole order 3 + g + 3k; each P_g is a tuple of Fractions, constant first.
+    """
 
-    def __init__(self, constant: Fraction, terms: tuple):
-        # terms: ((Monomial, Fraction), ...), stored by descending pole order
-        constant = Fraction(constant)
-        seen = set()
-        for mono, coeff in terms:
-            if not isinstance(mono, Monomial):
-                raise InputError("terms must be keyed by basis monomials")
-            if coeff == 0:
-                raise InputError("zero coefficients may not be stored")
-            if mono in seen:
-                raise InputError(f"duplicate monomial {mono}")
-            seen.add(mono)
-        ordered = tuple(sorted(terms, key=lambda t: -t[0].pole_order))
-        super().__init__(constant, ordered)
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return Fraction(0)
-
-    def __str__(self):
-        parts = []
-        for mono, c in self.terms:
-            parts.append(f"{c}*{mono}" if c != 1 else str(mono))
-        parts.append(str(self.constant))
-        return " + ".join(parts).replace("+ -", "- ")
+    __slots__ = ("constant", "polys")
 
 
 def divisors(n: int) -> tuple:
@@ -199,34 +175,34 @@ def symmetric_j_series(ctx: LevelContext, i: int) -> LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# greedy reduction into the monomial basis
+# greedy reduction into the basis
 
 
-def _monomial_series(mono: Monomial, fs: tuple, cache: dict) -> LaurentSeries:
-    if mono in cache:
-        return cache[mono]
-    if mono.k == 0:
-        s = fs[{"f3": 0, "f4": 1, "f5": 2}[mono.gen]]
-    else:
-        s = _monomial_series(Monomial(mono.gen, mono.k - 1), fs, cache) * fs[0]
-    cache[mono] = s
-    return s
+def _basis_series(g: int, k: int, fs: tuple, basis: tuple) -> LaurentSeries:
+    """f(3+g) * f3^k; basis[g] lists those of lower k, each f3 times the last."""
+    row = basis[g]
+    if not row:
+        row.append(fs[g])
+    while len(row) <= k:
+        row.append(row[-1] * fs[0])
+    return row[k]
 
 
 def express_in_basis(
-    F: LaurentSeries, f_series: tuple, *, _cache: Optional[dict] = None
+    F: LaurentSeries, f_series: tuple, *, _cache: Optional[tuple] = None
 ) -> FExpression:
     """Write F as constant + combination of {f5 f3^k, f4 f3^k, f3^(k+1)}.
 
-    Greedy: each basis monomial has a distinct pole order, so repeatedly
-    subtracting (leading coefficient) * (monomial of that order) terminates
+    Greedy: each basis element has a distinct pole order, so repeatedly
+    subtracting (leading coefficient) * (element of that order) terminates
     at a constant; the remaining tail must vanish to the available precision.
     The residual is one list of integer numerators over a running common
     denominator, updated in place; only the coefficients read out become
-    fractions. Its precision is the least over F and the subtracted monomials.
+    fractions. Its precision is the least over F and the subtracted elements.
+    _cache holds the per-generator basis lists, ([], [], []) when fresh.
     """
-    cache = _cache if _cache is not None else {}
-    terms = []
+    basis = _cache if _cache is not None else ([], [], [])
+    polys = ([], [], [])
     # residual = sum(nums[i] / den * q**(val + i)) + O(q**prec)
     val, nums, den, prec = F.val, list(F.nums), F.den, F.prec
     lead = 0
@@ -241,10 +217,12 @@ def express_in_basis(
                 f"pole order {order} reached; input is not a function with "
                 "poles only above x = infinity"
             )
-        mono = monomial_for_order(order)
+        g, k = order % 3, order // 3 - 1
         c = Fraction(nums[lead], den)
-        terms.append((mono, c))
-        m = _monomial_series(mono, f_series, cache)
+        poly = polys[g]
+        poly.extend([Fraction(0)] * (k + 1 - len(poly)))
+        poly[k] = c
+        m = _basis_series(g, k, f_series, basis)
         new_den = lcm(den, c.denominator * m.den)
         if new_den != den:
             nums = [n * (new_den // den) for n in nums]
@@ -265,17 +243,15 @@ def express_in_basis(
                 f"residual tail has nonzero q^{k} coefficient {c}"
             )
     constant = Fraction(nums[-val], den) if val <= 0 else Fraction(0)
-    return FExpression(constant=constant, terms=tuple(terms))
+    return FExpression(constant, tuple(map(tuple, polys)))
 
 
 def j_expression(ctx: LevelContext, i: int) -> FExpression:
-    """J_i in the monomial basis, cached on the context."""
+    """J_i in the f3, f4, f5 basis, cached on the context."""
     key = ("expr", i)
     if key not in ctx._cache:
-        fs_cache = ctx._cache.setdefault("monomials", {})
-        expr = express_in_basis(
-            symmetric_j_series(ctx, i), ctx.f_series, _cache=fs_cache
-        )
+        basis = ctx._cache.setdefault("basis", ([], [], []))
+        expr = express_in_basis(symmetric_j_series(ctx, i), ctx.f_series, _cache=basis)
         ctx._cache[key] = expr
     return ctx._cache[key]
 
@@ -298,19 +274,13 @@ def _horner(coeffs: list, p: int, q: int) -> Fraction:
 def evaluate_expression(e: FExpression, fvals) -> Fraction:
     """Substitute point values (f3, f4, f5); at inf' only the constant survives.
 
-    The terms gen * f3^k group into gen * P_gen(f3) for gen = f3, f4, f5, and
-    each P_gen is evaluated by integer Horner at f3 = p/q.
+    Each P_g is evaluated by integer Horner at f3 = p/q.
     """
-    f3v, f4v, f5v = (Fraction(v) for v in fvals)
-    polys = {"f3": [], "f4": [], "f5": []}
-    for mono, c in e.terms:
-        poly = polys[mono.gen]
-        poly.extend([Fraction(0)] * (mono.k + 1 - len(poly)))
-        poly[mono.k] = c
+    f3v = Fraction(fvals[0])
     total = e.constant
-    for v, gen in ((f3v, "f3"), (f4v, "f4"), (f5v, "f5")):
-        if polys[gen]:
-            total += v * _horner(polys[gen], f3v.numerator, f3v.denominator)
+    for v, poly in zip(fvals, e.polys):
+        if poly:
+            total += Fraction(v) * _horner(poly, f3v.numerator, f3v.denominator)
     return total
 
 
@@ -413,9 +383,19 @@ def point_report(ctx: LevelContext, p: CurvePoint) -> PointReport:
 
 
 def expression_to_json(e: FExpression) -> dict:
+    """The nonzero terms by descending pole order 3 + g + 3k."""
+    terms = sorted(
+        (
+            (3 + g + 3 * k, g, k, c)
+            for g, poly in enumerate(e.polys)
+            for k, c in enumerate(poly)
+            if c
+        ),
+        reverse=True,
+    )
     return {
         "constant": str(e.constant),
         "terms": [
-            {"k": mono.k, "gen": mono.gen, "coeff": str(c)} for mono, c in e.terms
+            {"k": k, "gen": f"f{3 + g}", "coeff": str(c)} for _, g, k, c in terms
         ],
     }

@@ -45,7 +45,10 @@ __all__ = [
     "bundled_dataset_levels",
 ]
 
-_MIN_DERIVE_PRECISION = 16  # 6 solved coefficients + 10 residual terms
+# The residual y^2 - f(x) has precision P - 8, so at P = 16 derive_equation
+# checks q^1..q^7 and at P = 19 q^1..q^10; validate_dataset counts checks
+# past those 10 as extra, and so reports 0 extra for every P <= 19.
+_MIN_DERIVE_PRECISION = 16
 
 
 class ModularDataset(Value):

@@ -116,12 +116,6 @@ class LaurentSeries:
             return cls.zero(prec)
         return cls(0, [c.numerator] + [0] * (prec - 1), c.denominator)
 
-    @classmethod
-    def q_power(cls, k: int, prec: int) -> "LaurentSeries":
-        if prec <= k:
-            return cls.zero(prec)
-        return cls(k, [1] + [0] * (prec - k - 1), 1, _normalized=True)
-
     # -- inspection ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -135,10 +129,6 @@ class LaurentSeries:
         if k < self.val:
             return Fraction(0)
         return Fraction(self.nums[k - self.val], self.den)
-
-    def coefficients(self, lo: int, hi: int) -> list:
-        """[coeff(lo), ..., coeff(hi-1)]."""
-        return [self.coeff(k) for k in range(lo, hi)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentSeries):

@@ -33,7 +33,6 @@ from qstar.fixtures import cm_rows, fixture_curve, load_cm_table, load_table
 from qstar.hyperelliptic import (
     INF_MINUS,
     INF_PLUS,
-    Monomial,
     rr_generators,
     search_points,
 )
@@ -140,35 +139,26 @@ def test_criterion_3_j_expression_anchors_and_reconstruction():
     ctx = LevelContext.from_data(load_dataset(67))
     e1 = j_expression(ctx, 1)
     e2 = j_expression(ctx, 2)
-    c1 = dict(e1.terms)
-    c2 = dict(e2.terms)
-    # Monomial("f3", k) is f3^(k+1); Monomial("f4"/"f5", k) is f4/f5 * f3^k
-    assert c1[Monomial("f3", 21)] == -23
-    assert c1[Monomial("f4", 21)] == 1
+    # polys[g][k] is the coefficient of f(3+g) * f3^k
+    assert e1.polys[0][21] == -23
+    assert e1.polys[1][21] == 1
     assert e1.constant == -65536
-    assert c2[Monomial("f5", 21)] == 1
-    assert c2[Monomial("f4", 21)] == 720
-    assert c2[Monomial("f3", 21)] == 179980
+    assert e2.polys[2][21] == 1
+    assert e2.polys[1][21] == 720
+    assert e2.polys[0][21] == 179980
     assert e2.constant == 1073741824
 
     # substituting the generator q-expansions back into each expression must
     # reproduce the symmetric function through the dataset's full precision
     fs = ctx.f_series
-    cache = {}
-
-    def monomial_series(mono):
-        if mono not in cache:
-            s = fs[{"f3": 0, "f4": 1, "f5": 2}[mono.gen]]
-            for _ in range(mono.k):
-                s = s * fs[0]
-            cache[mono] = s
-        return cache[mono]
-
     for i, expr in ((1, e1), (2, e2)):
         target = symmetric_j_series(ctx, i)
         acc = LaurentSeries.from_fraction(expr.constant, target.prec)
-        for mono, coeff in expr.terms:
-            acc = acc + monomial_series(mono).scale(coeff)
+        for gen, poly in zip(fs, expr.polys):
+            element = gen  # gen * f3^k
+            for coeff in poly:
+                acc = acc + element.scale(coeff)
+                element = element * fs[0]
         assert (acc - target).is_zero(), i
     assert time.perf_counter() - t0 < 60.0
 

@@ -336,6 +336,15 @@ def test_express_j_single_index():
     assert [e["i"] for e in data["expressions"]] == ["2"]
 
 
+def test_express_j_single_index_matches_the_full_dump():
+    # one J_i alone builds the shared basis lists in another order
+    full = cli_json("express-j", "85")
+    assert len(full["expressions"]) == 4
+    for i, expr in enumerate(full["expressions"], start=1):
+        single = cli_json("express-j", "85", "--index", str(i))
+        assert single["expressions"] == [expr]
+
+
 def test_express_j_index_out_of_range():
     proc = run_cli("express-j", "67", "--index", "5")
     assert proc.returncode == EXIT_INPUT

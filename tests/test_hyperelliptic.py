@@ -12,11 +12,9 @@ from qstar.hyperelliptic import (
     INF_MINUS,
     INF_PLUS,
     CurvePoint,
-    Monomial,
     SexticCurve,
     evaluate_f,
     involution,
-    monomial_for_order,
     rr_generators,
     search_points,
 )
@@ -192,42 +190,6 @@ def test_identities_random_curves():
         check_identities(random_curve(rng))
 
 
-# --- monomial basis ------------------------------------------------------------
-
-
-def test_monomial_for_order_anchors():
-    assert monomial_for_order(3) == Monomial("f3", 0)
-    assert monomial_for_order(4) == Monomial("f4", 0)
-    assert monomial_for_order(5) == Monomial("f5", 0)
-    assert monomial_for_order(67) == Monomial("f4", 21)
-    assert monomial_for_order(68) == Monomial("f5", 21)
-    assert str(monomial_for_order(67)) == "f4*f3^21"
-    assert str(monomial_for_order(3)) == "f3"
-    assert str(monomial_for_order(66)) == "f3^22"
-
-
-def test_monomial_for_order_gaps_and_errors():
-    for n in (2, 1, 0, -5):
-        with pytest.raises(InputError):
-            monomial_for_order(n)
-
-
-def test_monomial_order_roundtrip_and_injectivity():
-    seen = set()
-    for n in range(3, 200):
-        m = monomial_for_order(n)
-        assert m.pole_order == n
-        assert m not in seen
-        seen.add(m)
-
-
-def test_monomial_validation():
-    with pytest.raises(InputError):
-        Monomial("f6", 0)
-    with pytest.raises(InputError):
-        Monomial("f3", -1)
-
-
 # --- point search ---------------------------------------------------------------
 
 
@@ -288,7 +250,7 @@ def test_fixture_table_loads_and_counts():
     assert len(table) == 36
     assert fixture_levels()[0] == 67 and fixture_levels()[-1] == 390
     # every stored point was validated on-curve by the loader (curve.point)
-    total = sum(f.affine_count() for f in table.values())
+    total = sum(len(f.points) for f in table.values())
     assert total == 238
 
 

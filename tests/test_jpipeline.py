@@ -14,20 +14,13 @@ from qstar.errors import (
     InputError,
     InsufficientPrecisionError,
 )
-from qstar.hyperelliptic import (
-    INF_MINUS,
-    INF_PLUS,
-    Monomial,
-    SexticCurve,
-    monomial_for_order,
-)
+from qstar.hyperelliptic import INF_MINUS, INF_PLUS, SexticCurve
 from qstar.jpipeline import (
     FactorReport,
     FExpression,
     LevelContext,
     PointReport,
     PRECISION_MARGIN,
-    _monomial_series,
     divisors,
     expression_to_json,
     express_in_basis,
@@ -81,11 +74,6 @@ def test_value_classes_compare_hash_order_and_freeze():
         p.x = F(3)
     with pytest.raises(AttributeError):
         del p.y
-    monos = [Monomial("f5", 0), Monomial("f3", 2), Monomial("f4", 0), Monomial("f3", 1)]
-    assert [str(m) for m in sorted(monos)] == ["f3^2", "f3^3", "f4", "f5"]
-    assert Monomial("f4", 0) > Monomial("f3", 9)
-    assert Monomial("f3", 1) <= Monomial("f3", 1)
-    assert {Monomial("f4", 1): 7}[Monomial("f4", 1)] == 7
     # the per-context cache is private state: outside equality, hash and repr
     ctx = _ctx(67)
     twin = LevelContext(
@@ -261,21 +249,22 @@ def test_symmetric_series_needs_margin():
 def test_j1_expression_level_67():
     ctx = _ctx(67)
     e = j_expression(ctx, 1)
-    assert e.coefficient(Monomial("f3", 21)) == -23
-    assert e.coefficient(Monomial("f4", 21)) == 1
-    assert e.coefficient(Monomial("f5", 0)) == 92000
-    assert e.coefficient(Monomial("f4", 0)) == 81536
-    assert e.coefficient(Monomial("f3", 0)) == -571936
+    # polys[g][k] is the coefficient of f(3+g) * f3^k
+    assert e.polys[0][21] == -23
+    assert e.polys[1][21] == 1
+    assert e.polys[2][0] == 92000
+    assert e.polys[1][0] == 81536
+    assert e.polys[0][0] == -571936
     assert e.constant == -65536
 
 
 def test_j2_expression_level_67():
     ctx = _ctx(67)
     e = j_expression(ctx, 2)
-    assert e.coefficient(Monomial("f5", 21)) == 1
-    assert e.coefficient(Monomial("f4", 21)) == 720
-    assert e.coefficient(Monomial("f3", 21)) == 179980
-    assert e.coefficient(Monomial("f4", 9)) == -1369085873848977
+    assert e.polys[2][21] == 1
+    assert e.polys[1][21] == 720
+    assert e.polys[0][21] == 179980
+    assert e.polys[1][9] == -1369085873848977
     assert e.constant == 1073741824
 
 
@@ -289,12 +278,11 @@ def test_expression_reconstructs_series(level, i):
     e = j_expression(ctx, i)
     s3 = ctx.f_series[0]
     acc = LaurentSeries.from_fraction(e.constant, target.prec)
-    for mono, c in e.terms:
-        base = {"f3": s3, "f4": ctx.f_series[1], "f5": ctx.f_series[2]}[mono.gen]
+    for base, poly in zip(ctx.f_series, e.polys):
         term = base
-        for _ in range(mono.k):
+        for c in poly:
+            acc = acc + term.scale(c)
             term = term * s3
-        acc = acc + term.scale(c)
     diff = target - acc
     assert diff.is_zero()
     assert diff.prec >= 9
@@ -322,11 +310,38 @@ def test_express_in_basis_round_trip():
     s3, s4, _ = ctx.f_series
     probe = s4 + LaurentSeries.from_fraction(F(5), s4.prec)
     e = express_in_basis(probe, ctx.f_series)
-    assert e.terms == ((Monomial("f4", 0), F(1)),)
+    assert e.polys == ((), (F(1),), ())
     assert e.constant == 5
-    assert express_in_basis(s3 * s3, ctx.f_series).coefficient(
-        Monomial("f3", 1)
-    ) == 1
+    assert express_in_basis(s3 * s3, ctx.f_series).polys == ((F(0), F(1)), (), ())
+
+
+def _basis_element(fs, n, cache):
+    """f(3+g) * f3^k of pole order n = 3 + g + 3k, built from that of n - 3."""
+    if n not in cache:
+        cache[n] = fs[n - 3] if n < 6 else _basis_element(fs, n - 3, cache) * fs[0]
+    return cache[n]
+
+
+@pytest.mark.parametrize("level", [67, 73, 85, 107])
+def test_basis_element_round_trip(level):
+    # every pole order whose element the reduction can certify (8 positive
+    # exponents left), up to at least sigma, the deepest pole of the J_i
+    ctx = _ctx(level)
+    fs = ctx.f_series
+    cache = {}
+    n = 3
+    while True:
+        element = _basis_element(fs, n, cache)
+        if element.prec < 9:
+            break
+        e = express_in_basis(element, fs)
+        g, k = n % 3, n // 3 - 1
+        assert e.constant == 0, n
+        assert e.polys[g][k] == 1, n
+        nonzero = [c for poly in e.polys for c in poly if c]
+        assert nonzero == [1], n
+        n += 1
+    assert n > ctx.sigma
 
 
 def test_express_in_basis_rejects_gap_orders():
@@ -358,7 +373,7 @@ def test_express_in_basis_rejects_non_member():
 def _greedy_reference(series, f_series):
     """The greedy as a chain of LaurentSeries subtractions: the oracle."""
     cache = {}
-    terms = []
+    polys = ([], [], [])
     cur = series
     while not cur.is_zero() and cur.val < 0:
         order = -cur.val
@@ -367,10 +382,11 @@ def _greedy_reference(series, f_series):
                 f"pole order {order} reached; input is not a function with "
                 "poles only above x = infinity"
             )
-        mono = monomial_for_order(order)
         c = cur.coeff(cur.val)
-        terms.append((mono, c))
-        cur = cur - _monomial_series(mono, f_series, cache).scale(c)
+        poly = polys[order % 3]
+        poly.extend([F(0)] * (order // 3 - len(poly)))
+        poly[order // 3 - 1] = c
+        cur = cur - _basis_element(f_series, order, cache).scale(c)
     if cur.prec < 9:
         raise InsufficientPrecisionError(
             "fewer than 8 positive-exponent coefficients remain to certify "
@@ -382,7 +398,7 @@ def _greedy_reference(series, f_series):
             raise InconsistentDatasetError(
                 f"residual tail has nonzero q^{k} coefficient {cur.coeff(k)}"
             )
-    return FExpression(constant=constant, terms=tuple(terms))
+    return FExpression(constant=constant, polys=tuple(map(tuple, polys)))
 
 
 def _outcome(reduce, series, f_series):
@@ -410,7 +426,7 @@ def _random_member(rng, fs, max_order):
     total = LaurentSeries.from_fraction(constant, fs[0].prec)
     for order in rng.sample(range(3, max_order + 1), 12):
         c = F(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(2, 60))
-        total = total + _monomial_series(monomial_for_order(order), fs, cache).scale(c)
+        total = total + _basis_element(fs, order, cache).scale(c)
     return total
 
 
@@ -463,26 +479,26 @@ def test_evaluate_expression_matches_generators():
 
 def _evaluate_reference(e, fvals):
     """Term-by-term substitution with Fraction powers: the oracle."""
-    f3v, f4v, f5v = (Fraction(v) for v in fvals)
-    gen_val = {"f3": f3v, "f4": f4v, "f5": f5v}
+    gen_vals = [Fraction(v) for v in fvals]
     total = e.constant
-    for mono, c in e.terms:
-        total += c * gen_val[mono.gen] * f3v**mono.k
+    for gen_val, poly in zip(gen_vals, e.polys):
+        for k, c in enumerate(poly):
+            total += c * gen_val * gen_vals[0] ** k
     return total
 
 
 def test_horner_evaluation_matches_term_by_term():
     rng = random.Random(31415)
-    monos = [Monomial(g, k) for g in ("f3", "f4", "f5") for k in range(13)]
-    exprs = [FExpression(constant=F(-7, 3), terms=())]
+    slots = [(g, k) for g in range(3) for k in range(13)]
+    exprs = [FExpression(constant=F(-7, 3), polys=((), (), ()))]
     for _ in range(10):
-        chosen = rng.sample(monos, rng.randint(1, 20))
-        terms = tuple(
-            (m, F(rng.choice([-1, 1]) * rng.randint(1, 10**9), rng.randint(1, 40)))
-            for m in chosen
-        )
-        exprs.append(FExpression(constant=F(rng.randint(-50, 50), 7), terms=terms))
-    exprs.append(FExpression(constant=0, terms=((Monomial("f4", 5), F(3, 4)),)))
+        polys = [[F(0)] * 13 for _ in range(3)]
+        for g, k in rng.sample(slots, rng.randint(1, 20)):
+            c = F(rng.choice([-1, 1]) * rng.randint(1, 10**9), rng.randint(1, 40))
+            polys[g][k] = c
+        polys = tuple(map(tuple, polys))
+        exprs.append(FExpression(constant=F(rng.randint(-50, 50), 7), polys=polys))
+    exprs.append(FExpression(constant=F(0), polys=((), (F(0),) * 5 + (F(3, 4),), ())))
     points = [
         (F(0), F(0), F(0)),  # inf-
         (F(0), F(1), F(-2, 9)),
@@ -592,39 +608,24 @@ def test_expression_json_round_trip():
         e = j_expression(ctx, i)
         doc = json.loads(json.dumps(expression_to_json(e)))
         assert F(doc["constant"]) == e.constant
-        terms = [(Monomial(t["gen"], t["k"]), F(t["coeff"])) for t in doc["terms"]]
-        assert terms == list(e.terms)
+        polys = ([], [], [])
+        for t in doc["terms"]:
+            poly = polys[int(t["gen"][1:]) - 3]
+            poly.extend([F(0)] * (t["k"] + 1 - len(poly)))
+            poly[t["k"]] = F(t["coeff"])
+        assert tuple(map(tuple, polys)) == e.polys
 
 
 def test_expression_json_strings_are_exact():
-    e = FExpression(
-        constant=F(1, 3),
-        terms=((Monomial("f4", 2), F(-7, 2)),),
-    )
+    e = FExpression(constant=F(1, 3), polys=((), (F(0), F(0), F(-7, 2)), ()))
     doc = expression_to_json(e)
     assert doc["constant"] == "1/3"
-    assert doc["terms"][0] == {"gen": "f4", "k": 2, "coeff": "-7/2"}
-
-
-def test_expression_validation():
-    with pytest.raises(InputError):
-        FExpression(constant=F(0), terms=((Monomial("f3", 0), F(0)),))
-    with pytest.raises(InputError):
-        FExpression(
-            constant=F(0),
-            terms=(
-                (Monomial("f3", 0), F(1)),
-                (Monomial("f3", 0), F(2)),
-            ),
-        )
+    assert doc["terms"] == [{"gen": "f4", "k": 2, "coeff": "-7/2"}]
 
 
 def test_expression_terms_sorted_by_pole_order():
-    rng = random.Random(85)
-    monos = [Monomial("f3", 4), Monomial("f5", 1), Monomial("f4", 0)]
-    rng.shuffle(monos)
-    e = FExpression(
-        constant=F(0), terms=tuple((m, F(1)) for m in monos)
-    )
-    orders = [m.pole_order for m, _ in e.terms]
-    assert orders == sorted(orders, reverse=True)
+    # f3^5 (order 15), f5 * f3 (order 8) and f4 (order 4), zeros left out
+    polys = ((F(0),) * 4 + (F(1),), (F(1),), (F(0), F(1)))
+    e = FExpression(constant=F(0), polys=polys)
+    gens = [(t["gen"], t["k"]) for t in expression_to_json(e)["terms"]]
+    assert gens == [("f3", 4), ("f5", 1), ("f4", 0)]

@@ -92,7 +92,7 @@ def test_invert_unit_constant_stays_integral():
     a = LaurentSeries(0, [1, -24, 252], 1)
     inv = a.invert()
     assert inv.den == 1
-    assert inv.coefficients(0, 3) == [1, 24, 324]
+    assert [inv.coeff(k) for k in range(3)] == [1, 24, 324]
 
 
 def test_invert_zero_rejected():
@@ -131,7 +131,7 @@ def test_q_derivative_leibniz():
 
 
 def test_q_derivative_monomial():
-    m = LaurentSeries.q_power(-3, 4)
+    m = LaurentSeries(-3, [1] + [0] * 6)  # q^-3 + O(q^4)
     d = m.q_derivative()
     assert d.coeff(-3) == -3
     assert d.prec == 4
