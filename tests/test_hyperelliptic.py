@@ -18,6 +18,8 @@ from qstar.hyperelliptic import (
     rr_generators,
     search_points,
 )
+from qstar.jpipeline import express_in_basis, expression_to_json
+from qstar.series import LaurentSeries
 
 F = Fraction
 
@@ -188,6 +190,41 @@ def test_identities_random_curves():
     rng = random.Random(47)
     for _ in range(15):
         check_identities(random_curve(rng))
+
+
+# --- basis monomials by pole order ---------------------------------------------
+
+
+def _pole(n, prec=220):
+    """q^-n + O(q^prec): a function whose only pole has order n."""
+    return LaurentSeries(-n, [1] + [0] * (prec + n - 1))
+
+
+# f3, f4, f5 with nothing but their poles, so each f(3+g) * f3^k is q^-(3+g+3k)
+# and a reduction of q^-n reads off which basis monomial has pole order n.
+POLES = (_pole(3), _pole(4), _pole(5))
+
+
+def test_monomial_for_order_anchors():
+    for n, gen, k in ((3, "f3", 0), (4, "f4", 0), (5, "f5", 0), (66, "f3", 21),
+                      (67, "f4", 21), (68, "f5", 21)):
+        e = expression_to_json(express_in_basis(_pole(n), POLES))
+        assert e == {"constant": "0", "terms": [{"k": k, "gen": gen, "coeff": "1"}]}, n
+
+
+def test_monomial_order_roundtrip_and_injectivity():
+    seen = set()
+    basis = ([], [], [])  # the products, shared across orders as j_expression does
+    for n in range(3, 200):
+        e = express_in_basis(_pole(n), POLES, _cache=basis)
+        assert e.constant == 0
+        terms = [(g, k) for g, poly in enumerate(e.polys) for k, c in enumerate(poly) if c]
+        assert len(terms) == 1, n
+        g, k = terms[0]
+        assert e.polys[g][k] == 1
+        assert 3 + g + 3 * k == n
+        assert (g, k) not in seen
+        seen.add((g, k))
 
 
 # --- point search ---------------------------------------------------------------
