@@ -23,8 +23,6 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional
 
-import mpmath
-
 from .errors import FactorizationError, InputError, Value
 
 __all__ = [
@@ -948,21 +946,6 @@ class MultiQuadElement(Value):
                 for s, c in enumerate(self.coords)
             ),
         )
-
-    def evaluate(self, prec: int = 128):
-        """Numeric value as an mpmath complex at about prec bits."""
-        with mpmath.workprec(prec + 16):
-            total = mpmath.mpc(0)
-            roots = [mpmath.sqrt(mpmath.mpc(g)) for g in self.generators]
-            for s, c in enumerate(self.coords):
-                if not c:
-                    continue
-                term = mpmath.mpc(c.numerator) / c.denominator
-                for i in range(self.k):
-                    if s >> i & 1:
-                        term *= roots[i]
-                total += term
-            return total
 
     def __str__(self):
         parts = []

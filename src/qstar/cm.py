@@ -3,8 +3,8 @@
 Implements classical reduction theory for negative discriminants (including
 non-fundamental ones), the exponent-two test on reduced forms, certified
 evaluation of the class polynomial H_D as a product of real factors in
-interval arithmetic, and the inverse lookup from a candidate minimal polynomial of a j-invariant back to
-its CM discriminant.
+integer ball arithmetic, and the inverse lookup from a candidate minimal
+polynomial of a j-invariant back to its CM discriminant.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ import math
 from functools import lru_cache
 from math import gcd, isqrt
 
-from mpmath import iv, ldexp
-
 from .algnum import IntPolynomial
-from .arith import exp_complex, integer_bounds, iv_precision, unique_integer
+from .arith import cmul, exp, exp_complex, log, mul, pi, scaled, sqrt, unique_integer
 from .errors import InputError, PrecisionCapError, PrecisionError, Value
 from .series import j_expansion
 
@@ -31,6 +29,10 @@ __all__ = [
 ]
 
 _PRECISION_CAP = 1 << 22
+
+# bits past the scale at which a build computes its balls, to absorb the
+# rounding that the Horner sums and the product of the factors amplify
+_GUARD_BITS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -147,56 +149,57 @@ def _truncation_length(scale: int, qbits: int) -> int:
     return m - 1
 
 
-# c_0, c_1, ... of the j-series as exact point intervals, shared by every build
-_J_POINTS: list = []
+# c_0, c_1, ... of the j-series, shared by every build
+_J_COEFFICIENTS: list = []
 
 
 def _j_coefficients(terms: int) -> list:
-    """A list starting c_0 .. c_terms; each coefficient is converted once per process."""
-    if len(_J_POINTS) <= terms:
+    """A list starting c_0 .. c_terms; each coefficient is computed once per process."""
+    if len(_J_COEFFICIENTS) <= terms:
         series = j_expansion(terms + 1)
-        new = [int(series.coeff(n)) for n in range(len(_J_POINTS), terms + 1)]
-        # at the largest bit length every new point interval is exact
-        with iv_precision(max(c.bit_length() for c in new)):
-            _J_POINTS.extend(iv.mpf(c) for c in new)
-    return _J_POINTS
+        start = len(_J_COEFFICIENTS)
+        _J_COEFFICIENTS.extend(int(series.coeff(n)) for n in range(start, terms + 1))
+    return _J_COEFFICIENTS
 
 
-def _j_at_form(form: QuadForm, D: int, scale: int, coeffs: list, terms: int, qbits: int):
-    """An interval containing j((-b + i sqrt|D|)/(2a)), from coeffs[:terms + 1].
-
-    The interval is real for an ambiguous form, where j is real, and complex
-    for the others.
-    """
+def _j_at_form(
+    form: QuadForm, D: int, scale: int, p: int, coeffs: list, terms: int, qbits: int
+):
+    """A complex ball at precision p containing j((-b + i sqrt|D|)/(2a)),
+    from coeffs[:terms + 1]."""
     a, b = form.a, form.b
     # 2 pi i tau = -pi sqrt|D|/a + i * (-pi b / a)
-    x = -iv.pi * iv.sqrt(-D) / a
-    e = iv.exp(x)
-    # certified |q| = e^x < 2**-qbits, the bound the truncation length assumed
-    if not e.b < ldexp(1, -qbits):
-        raise PrecisionError("q magnitude bound failed; scale too small")
+    x = scaled(mul(pi(p), sqrt(-D, p), p), -1, a)
     if b == 0 or b == a:
-        # q = e^x, or q = e^{x - i pi} = -e^x: the sum runs on real intervals
-        q = e if b == 0 else -e
-        qinv = 1 / q
+        # q = e^x, or q = e^{x - i pi} = -e^x: the sum runs on real values
+        sign = 1 if b == 0 else -1
+        (qx, _, qr), (ix, _, ir) = exp(x, (0, 0), p), exp((-x[0], x[1]), (0, 0), p)
+        q, qinv = (sign * qx, 0, qr), (sign * ix, 0, ir)
     else:
-        q, qinv = exp_complex(x, -iv.pi * b / a)
-    total = coeffs[terms]
+        q, qinv = exp_complex(x, scaled(pi(p), -b, a), p)
+    # certified |q| < 2**-qbits, the bound the truncation length assumed
+    if p < qbits or abs(q[0]) + abs(q[1]) + 2 * q[2] >= 1 << (p - qbits):
+        raise PrecisionError("q magnitude bound failed; scale too small")
+    total = (coeffs[terms] << p, 0, 0)
     for n in range(terms - 1, -1, -1):
-        total = total * q + coeffs[n]
+        re, im, r = cmul(total, q, p)
+        total = (re + (coeffs[n] << p), im, r)
     # the dropped series tail is below 2**-scale by construction
-    t = ldexp(1, -scale)
-    j = total + qinv + iv.mpc([-t, t], [-t, t])
-    # q is real, or a = c puts tau on the unit circle, where j is real too
-    return j.real if _ambiguous(form) else j
+    return (
+        total[0] + qinv[0],
+        total[1] + qinv[1],
+        total[2] + qinv[2] + (1 << (p - scale)),
+    )
 
 
-def _times_monic(poly: list, factor: list) -> list:
-    """poly * factor for coefficient lists, constant term first; factor is monic."""
-    out = [0] * (len(factor) - 1) + poly
-    for i, f in enumerate(factor[:-1]):
-        for k, p in enumerate(poly):
-            out[i + k] += f * p
+def _times_monic(poly: list, low: list, p: int) -> list:
+    """poly * (x**len(low) + low[0] + low[1] x + ...) for lists of real
+    balls, constant term first."""
+    out = [(0, 0)] * len(low) + poly
+    for i, f in enumerate(low):
+        for k, c in enumerate(poly):
+            m, r = mul(f, c, p)
+            out[i + k] = (out[i + k][0] + m, out[i + k][1] + r)
     return out
 
 
@@ -210,10 +213,10 @@ def _default_scale(D: int, forms: tuple) -> int:
 def class_polynomial(D: int, scale_bits: int = None) -> ClassPolynomial:
     """The monic integer polynomial whose roots are the j-invariants of D.
 
-    Every coefficient is computed as an interval and certified when the
-    interval holds exactly one integer; on failure the working precision
-    doubles, up to a hard cap of 2**22 bits.  Results are cached, so the
-    CLI's echo of a CM match reuses the lookup's build.
+    Every coefficient is computed as a ball and certified when the ball
+    holds exactly one integer; on failure the scale doubles, up to a hard
+    cap of 2**22 bits.  Results are cached, so the CLI's echo of a CM match
+    reuses the lookup's build.
     """
     forms = _reduced_forms(D)
     scale = scale_bits if scale_bits else _default_scale(D, forms)
@@ -236,16 +239,18 @@ def _class_polynomial_at(D: int, forms: tuple, scale: int) -> ClassPolynomial:
     qbits = [_qbits(D, f.a) for f in forms]
     terms = [_truncation_length(scale, qb) for qb in qbits]
     coeffs = _j_coefficients(max(terms))
-    with iv_precision(scale):
-        poly = [iv.mpf(1)]  # constant term first
-        for form, qb, T in zip(forms, qbits, terms):
-            j = _j_at_form(form, D, scale, coeffs, T, qb)
-            if _ambiguous(form):
-                factor = [-j, 1]
-            else:
-                factor = [j.real * j.real + j.imag * j.imag, -2 * j.real, 1]
-            poly = _times_monic(poly, factor)
-        out = [unique_integer(coeff) for coeff in poly]
+    p = scale + _GUARD_BITS
+    poly = [(1 << p, 0)]  # constant term first
+    for form, qb, T in zip(forms, qbits, terms):
+        x, y, r = _j_at_form(form, D, scale, p, coeffs, T, qb)
+        # q is real, or a = c puts tau on the unit circle, where j is real too
+        if _ambiguous(form):
+            low = [(-x, r)]
+        else:
+            re2, im2 = mul((x, r), (x, r), p), mul((y, r), (y, r), p)
+            low = [(re2[0] + im2[0], re2[1] + im2[1]), (-2 * x, 2 * r)]
+        poly = _times_monic(poly, low, p)
+    out = [unique_integer(coeff, p) for coeff in poly]
     if None in out:
         raise PrecisionError("coefficient failed integer certification")
     assert out[-1] == 1
@@ -306,18 +311,23 @@ def _cm_window(g: IntPolynomial) -> tuple:
     From ||T| - s**2| <= 2079 h + (h - 1) s (see identify_cm): s is at most
     the positive root of s**2 - (h - 1) s = |T| + 2079 h and, when
     |T| - 2079 h >= h, at least the root of s**2 + (h - 1) s = |T| - 2079 h,
-    which is then >= 1.  Both roots and |D| = (2 ln s / pi)**2 are computed
-    in interval arithmetic.
+    which is then >= 1.  Both roots and ln s are balls at 64 bits, and
+    |D| = (2 ln s / pi)**2 is bounded from their ends in exact integers.
     """
     h = g.degree
     trace = abs(g.coeffs[h - 1])
     slack = _J_TAIL_BOUND * h
 
-    def root(k, c):  # the positive root of s**2 + k s = c
-        return (iv.sqrt(iv.mpf(k * k + 4 * c)) - k) / 2
+    p = 64
 
-    with iv_precision(64):
-        s_hi = root(1 - h, trace + slack)
-        s_lo = root(h - 1, trace - slack) if trace - slack >= h else iv.mpf(1)
-        t = 2 * iv.log(iv.mpf([s_lo.a, s_hi.b])) / iv.pi
-        return integer_bounds(t**2)
+    def root(k, c):  # the positive root of s**2 + k s = c; r >= 1 covers the halving
+        m, r = sqrt(k * k + 4 * c, p)
+        return (m - (k << p)) >> 1, r
+
+    s_hi = root(1 - h, trace + slack)
+    s_lo = root(h - 1, trace - slack) if trace - slack >= h else (1 << p, 0)
+    (m_lo, r_lo), (m_hi, r_hi) = log(s_lo, p), log(s_hi, p)
+    pi_m, pi_r = pi(p)
+    # 2 ln s >= 0 lies in [lo, hi] * 2**-p and pi in (pi_m -+ pi_r) * 2**-p
+    lo, hi = 2 * max(0, m_lo - r_lo), 2 * (m_hi + r_hi)
+    return -(-lo * lo // (pi_m + pi_r) ** 2), hi * hi // (pi_m - pi_r) ** 2

@@ -31,7 +31,6 @@ __all__ = [
     "CMTableRow",
     "load_table",
     "load_cm_table",
-    "fixture_levels",
     "fixture_curve",
     "fixture_points",
     "cm_rows",
@@ -158,11 +157,6 @@ def cm_rows(level: int) -> tuple[CMTableRow, ...]:
     if level not in table:
         raise InputError(f"no CM table for level {level}")
     return table[level]
-
-
-def fixture_levels() -> list[int]:
-    """All bundled levels, ascending."""
-    return sorted(load_table())
 
 
 def fixture_curve(level: int) -> SexticCurve:

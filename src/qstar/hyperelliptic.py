@@ -84,10 +84,6 @@ class CurvePoint(Value):
             raise InputError("affine point needs both coordinates")
         super().__init__(kind, x, y)
 
-    @property
-    def is_affine(self) -> bool:
-        return self.kind == "affine"
-
     def __str__(self):
         if self.kind == "infinity_plus":
             return "inf+"

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from mpmath import iv
 
 import qstar.cli
 import qstar.cm
@@ -493,6 +492,26 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_runs_without_mpmath():
+    # the class polynomials of a pipeline's CM test and of identify-cm run
+    # on integer balls, so no CLI process pays for importing mpmath
+    probe = (
+        "import contextlib, io, sys, qstar.cli\n"
+        "seen = ['mpmath' in sys.modules]\n"
+        "for argv in (['pipeline', '67', '--height', '100'],\n"
+        "             ['identify-cm', '--minpoly', '1', '-54000']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert qstar.cli.main(argv) == 0\n"
+        "    seen.append('mpmath' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, False]"
+
+
 def test_identify_cm_builds_matched_polynomial_once(monkeypatch, capsys):
     built = []
     build = qstar.cm._class_polynomial_at
@@ -624,11 +643,8 @@ def test_traced_pipeline_records_the_point_report(tmp_path, monkeypatch):
     assert m["cli.point_report.calls"] == 1
 
 
-def test_precision_cap_raises_and_restores_iv_prec(monkeypatch):
-    prec = iv.prec
+def test_precision_cap_raises(monkeypatch):
     class_polynomial(-71)
-    assert iv.prec == prec
     monkeypatch.setattr(qstar.cm, "_PRECISION_CAP", 64)
     with pytest.raises(PrecisionCapError):
         class_polynomial(-71, scale_bits=8)
-    assert iv.prec == prec

@@ -9,7 +9,7 @@ import pytest
 from mpmath import iv
 
 import qstar.cm
-from qstar.arith import exp_complex, iv_precision
+from qstar import arith
 from qstar.algnum import IntPolynomial
 from qstar.cm import (
     ClassPolynomial,
@@ -314,41 +314,43 @@ def test_truncation_length_bounds_the_whole_tail():
     assert qstar.cm._truncation_length(340, 10) > 47
 
 
-def j_interval(D: int, a: int, b: int, prec: int):
-    """j((-b + i sqrt|D|)/(2a)) as a complex interval, from exp_complex and the
-    j-series alone; the caller sets iv.prec."""
+def j_ball(D: int, a: int, b: int, p: int):
+    """j((-b + i sqrt|D|)/(2a)) as a complex ball at precision p, from
+    exp_complex and the j-series alone."""
     qbits = qstar.cm._qbits(D, a)
-    T = qstar.cm._truncation_length(prec, qbits)
+    T = qstar.cm._truncation_length(p, qbits)
     series = j_expansion(T + 1)
-    x = -iv.pi * iv.sqrt(-D) / a
-    assert iv.exp(x).b < iv.mpf(2) ** -qbits
-    q, qinv = exp_complex(x, -iv.pi * b / a)
-    total = iv.mpc(0)
+    pi = arith.pi(p)
+    x = arith.scaled(arith.mul(pi, arith.sqrt(-D, p), p), -1, a)
+    q, qinv = arith.exp_complex(x, arith.scaled(pi, -b, a), p)
+    qx, qy, qr = q
+    assert (abs(qx) + qr) ** 2 + (abs(qy) + qr) ** 2 < 1 << 2 * (p - qbits)
+    total = (0, 0, 0)
     for n in range(T, -1, -1):
-        total = total * q + int(series.coeff(n))
-    t = iv.mpf(2) ** -prec
-    tail = iv.mpf([-t.b, t.b])
-    return total + qinv + iv.mpc(tail, tail)
+        x, y, r = arith.cmul(total, q, p)
+        total = (x + (int(series.coeff(n)) << p), y, r)
+    # the tail is below 2**-p, one ulp
+    return total[0] + qinv[0], total[1] + qinv[1], total[2] + qinv[2] + 1
 
 
 def overlaps(u, v) -> bool:
-    return u.a <= v.b and v.a <= u.b
+    """Whether the real balls u and v meet."""
+    return abs(u[0] - v[0]) <= u[1] + v[1]
 
 
 def test_j_symmetry_behind_the_real_product():
     # an ambiguous form has real j; (a, -b, c) has j' = conj(j) for the rest
-    with iv_precision(128):
-        for D in valid_discriminants(300):
-            for f in reduced_forms(D):
-                j = j_interval(D, f.a, f.b, 128)
-                if f.b == 0 or f.b == f.a or f.a == f.c:
-                    assert 0 in j.imag, (D, f)
-                elif f.b > 0:
-                    assert 0 not in j.imag, (D, f)  # so the pairing is tested
-                    partner = j_interval(D, f.a, -f.b, 128)
-                    assert overlaps(partner.real, j.real), (D, f)
-                    assert overlaps(partner.imag, -j.imag), (D, f)
-                    assert not overlaps(partner.imag, j.imag), (D, f)
+    for D in valid_discriminants(300):
+        for f in reduced_forms(D):
+            x, y, r = j_ball(D, f.a, f.b, 128)
+            if f.b == 0 or f.b == f.a or f.a == f.c:
+                assert overlaps((y, r), (0, 0)), (D, f)
+            elif f.b > 0:
+                assert not overlaps((y, r), (0, 0)), (D, f)  # so the pairing is tested
+                px, py, pr = j_ball(D, f.a, -f.b, 128)
+                assert overlaps((px, pr), (x, r)), (D, f)
+                assert overlaps((py, pr), (-y, r)), (D, f)
+                assert not overlaps((py, pr), (y, r)), (D, f)
 
 
 def test_class_polynomial_rejects_invalid():
@@ -480,13 +482,16 @@ def test_j_tail_bound_from_the_series():
     # and isqrt(n) <= n/8 bound the tail by a geometric series of ratio r
     N = 64
     series = j_expansion(N + 1)
-    with iv_precision(80):
+    saved, iv.prec = iv.prec, 80  # mpmath.iv is the independent oracle here
+    try:
         qmax = iv.exp(-iv.pi * iv.sqrt(3))
         head = sum(int(series.coeff(n)) * qmax**n for n in range(N + 1))
         r = iv.mpf(2) ** (iv.mpf(19) / 8) * qmax  # 2**(19/8) * qmax
         assert r.b < iv.mpf(1) / 32
         tail = iv.mpf(2) ** 19 * r ** (N + 1) / (1 - r)
         total = head + tail
+    finally:
+        iv.prec = saved
     assert all(int(series.coeff(n)) >= 0 for n in range(N + 1))
     assert total.b <= qstar.cm._J_TAIL_BOUND
     assert total.a > qstar.cm._J_TAIL_BOUND - 1  # 2078.81...
@@ -513,10 +518,10 @@ def _cm_table_rows():
 
 
 def test_cm_table_covers_all_levels():
-    from qstar.fixtures import fixture_levels, load_cm_table
+    from qstar.fixtures import load_cm_table, load_table
 
     table = load_cm_table()
-    assert sorted(table) == fixture_levels()
+    assert sorted(table) == sorted(load_table())
     assert sum(len(rows) for rows in table.values()) == 273
 
 

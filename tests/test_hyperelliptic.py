@@ -7,7 +7,7 @@ import pytest
 
 from qstar.algnum import _zmul, _zsub
 from qstar.errors import InputError
-from qstar.fixtures import fixture_curve, fixture_levels, fixture_points, load_table
+from qstar.fixtures import fixture_curve, fixture_points, load_table
 from qstar.hyperelliptic import (
     INF_MINUS,
     INF_PLUS,
@@ -22,6 +22,15 @@ from qstar.jpipeline import express_in_basis, expression_to_json
 from qstar.series import LaurentSeries
 
 F = Fraction
+
+
+def fixture_levels() -> list:
+    """All bundled levels, ascending."""
+    return sorted(load_table())
+
+
+def is_affine(p: CurvePoint) -> bool:
+    return p.kind == "affine"
 
 
 def random_curve(rng, span=9):
@@ -92,7 +101,7 @@ def test_singular_sextics_are_exactly_those_with_zero_discriminant():
 def test_point_validation():
     c = fixture_curve(67)
     p = c.point(1, 1)
-    assert p.is_affine and p.x == 1 and p.y == 1
+    assert is_affine(p) and p.x == 1 and p.y == 1
     with pytest.raises(InputError):
         c.point(1, 2)
 
@@ -245,20 +254,20 @@ def test_search_level_67():
 
 def test_search_level_167():
     pts = search_points(fixture_curve(167), 10)
-    affine = [p for p in pts if p.is_affine]
+    affine = [p for p in pts if is_affine(p)]
     assert as_set(affine) == {("affine", F(-1), F(1)), ("affine", F(-1), F(-1))}
 
 
 def test_search_x6_plus_1():
     pts = search_points(SexticCurve.from_coeffs([1, 0, 0, 0, 0, 0]), 1)
     assert INF_PLUS in pts and INF_MINUS in pts
-    affine = [p for p in pts if p.is_affine]
+    affine = [p for p in pts if is_affine(p)]
     assert as_set(affine) == {("affine", F(0), F(1)), ("affine", F(0), F(-1))}
 
 
 def test_search_weierstrass_emitted_once():
     pts = search_points(fixture_curve(154), 4)
-    zeros = [p for p in pts if p.is_affine and p.y == 0]
+    zeros = [p for p in pts if is_affine(p) and p.y == 0]
     assert zeros == [CurvePoint(kind="affine", x=F(2), y=F(0))]
 
 
@@ -270,7 +279,7 @@ def test_search_closed_under_involution_and_on_curve():
         got = set(pts)
         for p in pts:
             assert involution(p) in got
-            if p.is_affine:
+            if is_affine(p):
                 assert p.y * p.y == c.f_at(p.x)
 
 
@@ -315,7 +324,7 @@ def test_search_reproduces_complete_levels():
     """Height-12 search recovers exactly the stored set where it is exhaustive."""
     for lvl, fx in sorted(load_table().items()):
         found = search_points(fx.curve, 12)
-        affine = {p for p in found if p.is_affine}
+        affine = {p for p in found if is_affine(p)}
         if fx.points_complete:
             assert affine == set(fx.points), lvl
         else:
@@ -328,7 +337,7 @@ def test_search_height_1000_finds_exactly_the_complete_point_sets():
     assert len(complete) == 19
     for fx in complete:
         found = search_points(fx.curve, 1000)
-        affine = {p for p in found if p.is_affine}
+        affine = {p for p in found if is_affine(p)}
         assert affine == set(fx.points), fx.level
 
 
