@@ -20,7 +20,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Optional
 
 from .errors import FactorizationError, InputError, Value
@@ -204,18 +204,37 @@ def _factor_into_primes(n: int, budget: list, out: dict, mult: int = 1):
     _factor_into_primes(n // d, budget, out, mult)
 
 
+_BLOCK_PRODUCTS = {}  # last prime of a block of sieved primes -> their product
+
+
 def _trial_divide(n: int) -> tuple:
-    """({p: e} over the sieved primes dividing n >= 1, the cofactor left)."""
+    """({p: e} over the sieved primes dividing n >= 1, the cofactor left).
+
+    Ascending, it stops at the first prime p with p*p > n. The primes go in
+    blocks of 128, and a block is searched only when its product has a
+    common factor with n.
+    """
     out = {}
-    for p in _primes_upto(isqrt(n)):
-        if p * p > n:
+    primes = _primes_upto(isqrt(n))
+    for i in range(0, len(primes), 128):
+        block = primes[i : i + 128]
+        if block[0] ** 2 > n:
             break
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            out[p] = k
+        product = _BLOCK_PRODUCTS.get(block[-1])
+        if product is None:
+            product = _BLOCK_PRODUCTS[block[-1]] = prod(block)
+        g = gcd(n, product)
+        if g == 1:
+            continue
+        for p in block:
+            if p * p > n:
+                return out, n
+            if g % p == 0:
+                k = 0
+                while n % p == 0:
+                    n //= p
+                    k += 1
+                out[p] = k
     return out, n
 
 

@@ -28,7 +28,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .algnum import IntPolynomial, MultiQuadElement, field_label, poly_str
+from .algnum import (
+    IntPolynomial,
+    MultiQuadElement,
+    field_label,
+    poly_str,
+    squarefree_kernel,
+)
 from .cm import class_polynomial, identify_cm
 from .errors import (
     DatasetError,
@@ -54,7 +60,7 @@ from .jpipeline import (
 from .modular import (
     ModularDataset,
     bundled_dataset_levels,
-    dataset_from_json,
+    dataset_fields,
     derive_equation,
     load_dataset,
     validate_dataset,
@@ -68,8 +74,8 @@ EXIT_INPUT = 3
 EXIT_PRECISION = 4
 
 # levels whose divisor sum exceeds this must be requested explicitly with
-# --allow-large; on 2 cores, pipeline --height 100 took 1.8-2.4 s (level 165,
-# divisor sum 288) and 8.9-9.4 s (level 357, 576); 390 (1008) is unmeasured
+# --allow-large; on 2 cores, pipeline --height 100 took 0.8 s (level 165,
+# divisor sum 288) and 2.3-2.4 s (level 357, 576); 390 (1008) is unmeasured
 SIGMA_BUDGET = 150
 
 DEFAULT_HEIGHT = 100
@@ -183,18 +189,45 @@ def _emit(data: dict, meta: Optional[dict] = None, out: Optional[str] = None) ->
         Path(out).write_text(json.dumps(envelope, indent=2) + "\n")
 
 
-def _load_dataset_arg(arg: str) -> ModularDataset:
-    """A bundled level number, or a path to a dataset JSON file."""
+def _load_dataset_arg(arg: str, allow_large: Optional[bool] = None) -> ModularDataset:
+    """A bundled level number, or a path to a dataset JSON file.
+
+    The commands under the divisor-sum budget pass allow_large."""
     path = Path(arg)
     if path.exists():
         try:
             obj = json.loads(path.read_text())
         except ValueError as exc:  # also over-long integers and non-UTF-8 bytes
             raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
-        return dataset_from_json(obj)
+        fields = dataset_fields(obj)
+        if allow_large is not None:
+            _refuse_before_factoring(*fields[:2], allow_large)
+        return ModularDataset(*fields)
     if arg.isdigit():
         return load_dataset(int(arg))
     raise DatasetError(f"no such dataset file or bundled level: {arg}")
+
+
+def _refuse_before_factoring(level: int, precision: int, allow_large: bool) -> None:
+    """Refuse a level that only Pollard rho could split, if the budget would.
+
+    sigma(N) >= N + 1, so without --allow-large N >= SIGMA_BUDGET fails the
+    divisor-sum refusal, and a precision below N + 13 fails
+    required_precision (sigma + 12), whatever the factors of N.
+    """
+    if level < SIGMA_BUDGET or (allow_large and precision >= level + 13):
+        return
+    try:
+        squarefree_kernel(level, budget=0)
+    except FactorizationError:  # only Pollard rho could split the level
+        if not allow_large:
+            raise PrecisionError(
+                f"level {level} has divisor sum > {level} >= {SIGMA_BUDGET}; "
+                "this is a long-running job, pass --allow-large to proceed"
+            ) from None
+        raise InsufficientPrecisionError(
+            f"level {level} needs dataset precision > {level + 12}, got {precision}"
+        ) from None
 
 
 def _require_pipeline_budget(data: ModularDataset, allow_large: bool) -> None:
@@ -242,7 +275,7 @@ def cmd_derive_equation(args) -> int:
 
 
 def cmd_express_j(args) -> int:
-    data_set = _load_dataset_arg(args.dataset)
+    data_set = _load_dataset_arg(args.dataset, args.allow_large)
     _require_pipeline_budget(data_set, args.allow_large)
     t0 = time.perf_counter()
     ctx = LevelContext.from_data(data_set)
@@ -270,7 +303,7 @@ def cmd_express_j(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    data_set = _load_dataset_arg(args.dataset)
+    data_set = _load_dataset_arg(args.dataset, args.allow_large)
     _require_pipeline_budget(data_set, args.allow_large)
     t0 = time.perf_counter()
     ctx = LevelContext.from_data(data_set)

@@ -5,9 +5,10 @@ at the divisor scalings of z are holomorphic away from one cusp, so each is
 a linear combination of the basis {f5 f3^k, f4 f3^k, f3^(k+1)} plus a
 constant.  The basis element of pole order n >= 3 is f(3+g) f3^k with
 g = n % 3 and k = n // 3 - 1; this module is the one place that knows it.
-The combination is found by greedy pole-order reduction (each basis element
-has a distinct pole order, making the system triangular) and certified by
-the vanishing of the residual tail.  Evaluating the
+Each basis element has a distinct pole order, so the combination is
+triangular; it is read off by a Horner scheme in base f3 that takes s
+digits a block against tables shared by every J_i of a level, and is
+certified by the vanishing of the residual tail.  Evaluating the
 combinations at a rational point of the sextic model and assembling
 z^m + sum (-1)^i J_i z^(m-i) gives the monic polynomial whose roots are the
 j-invariants attached to that point.  point_report factors that
@@ -18,7 +19,7 @@ factor, and checks its own claims exactly before returning them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Optional
 
 from .algnum import (
@@ -46,7 +47,7 @@ from .hyperelliptic import (
     rr_generators,
 )
 from .modular import ModularDataset, coordinate_series, derive_equation
-from .series import LaurentSeries, j_expansion
+from .series import LaurentSeries, convolve, j_expansion
 
 __all__ = [
     "FExpression",
@@ -175,67 +176,120 @@ def symmetric_j_series(ctx: LevelContext, i: int) -> LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# greedy reduction into the basis
+# reduction into the basis by a Horner scheme in base f3
 
 
-def _basis_series(g: int, k: int, fs: tuple, basis: tuple) -> LaurentSeries:
-    """f(3+g) * f3^k; basis[g] lists those of lower k, each f3 times the last."""
-    row = basis[g]
-    if not row:
-        row.append(fs[g])
-    while len(row) <= k:
-        row.append(row[-1] * fs[0])
-    return row[k]
+def _element_precision(g: int, k: int, fs: tuple) -> int:
+    """Precision of f(3+g) * f3^k as k products by f3 of f(3+g) leave it."""
+    if k == 0:
+        return fs[g].prec
+    return min(fs[g].prec, fs[0].prec - g) - 3 * k
+
+
+def _too_short(prec: int) -> InsufficientPrecisionError:
+    return InsufficientPrecisionError(
+        "fewer than 8 positive-exponent coefficients remain to certify "
+        f"the reduction (precision O(q^{prec}))"
+    )
+
+
+def _tables(fs: tuple, cache: dict) -> tuple:
+    """(babies, f3^s, [u^s, u^2s, ...]) for u = 1/f3 and s = cache["s"].
+
+    babies[x + 2] = u^j (1, f4 u, f5 u)[g] has valuation x = 3j - g, for
+    j < s. f3, f4, f5 count as exact Laurent polynomials, and every table
+    keeps as many coefficients as the longest of them: no block reads more.
+    """
+    if "babies" not in cache:
+        s = cache["s"]
+        width = max(len(f.nums) for f in fs)
+        f3, f4, f5 = (
+            LaurentSeries(f.val, f.nums + [0] * (width - len(f.nums)), f.den)
+            for f in fs
+        )
+        u = f3.invert()
+        pows = [LaurentSeries(0, [1] + [0] * (width - 1)), u]
+        while len(pows) <= s:
+            pows.append(pows[-1] * u)
+        w4, w5 = f4 * u, f5 * u
+        babies = []
+        for j in range(s):
+            if j:
+                w4, w5 = w4 * u, w5 * u
+            babies += (w5, w4, pows[j])
+        cache.update(babies=babies, f3s=f3**s, upow=[pows[s]])
+    return cache["babies"], cache["f3s"], cache["upow"]
 
 
 def express_in_basis(
-    F: LaurentSeries, f_series: tuple, *, _cache: Optional[tuple] = None
+    F: LaurentSeries, f_series: tuple, *, _cache: Optional[dict] = None
 ) -> FExpression:
     """Write F as constant + combination of {f5 f3^k, f4 f3^k, f3^(k+1)}.
 
-    Greedy: each basis element has a distinct pole order, so repeatedly
-    subtracting (leading coefficient) * (element of that order) terminates
-    at a constant; the remaining tail must vanish to the available precision.
-    The residual is one list of integer numerators over a running common
-    denominator, updated in place; only the coefficients read out become
-    fractions. Its precision is the least over F and the subtracted elements.
-    _cache holds the per-generator basis lists, ([], [], []) when fresh.
+    For F of pole order n, u = 1/f3 and T = s*b >= n // 3, G = F u^T is the
+    sum of u^(T-t) (a_t + b_t f4 u + c_t f5 u), with a_t, b_t, c_t the
+    coefficients of f3^t, f4 f3^(t-1), f5 f3^(t-1). Each of b blocks reads
+    s digits off the q^-2 ... q^(3s-3) coefficients of G, top pole order
+    first, subtracts them times u^j (1, f4 u, f5 u) and multiplies the rest
+    by f3^s (baby-step giant-step Horner; Paterson and Stockmeyer, 1973).
+    What is left is a constant plus a tail that must vanish to the
+    precision: the least over F and the elements of nonzero coefficient,
+    each as k products by f3 build it. G is one list of integer numerators
+    over a running common denominator, updated in place. _cache holds the
+    tables shared by reductions against one basis, and in "s" the digits
+    per block (isqrt(n // 3) when fresh).
     """
-    basis = _cache if _cache is not None else ([], [], [])
     polys = ([], [], [])
-    # residual = sum(nums[i] / den * q**(val + i)) + O(q**prec)
-    val, nums, den, prec = F.val, list(F.nums), F.den, F.prec
+    val, nums, den, prec = F.val, F.nums, F.den, F.prec
+    n = -val
+    if nums and n >= 3:
+        cache = _cache if _cache is not None else {}
+        s = cache.setdefault("s", isqrt(n // 3))
+        babies, f3s, upow = _tables(f_series, cache)
+        b = -(-(n // 3) // s)
+        while len(upow) < b:
+            upow.append(upow[-1] * upow[0])
+        # the precision once the top element is subtracted; G is needed
+        # below q^(prec + 3T) to leave the residual right below q^prec
+        prec = min(prec, _element_precision(n % 3, n // 3 - 1, f_series))
+        out_len = prec + n
+        nums = [0] * (3 * s * b - n + 2) + convolve(
+            nums[:out_len], upow[b - 1].nums, out_len
+        )  # nums[i] is the q^(i - 2) coefficient of G
+        den *= upow[b - 1].den
+        for T in range(s * b, 0, -s):
+            for x in range(-2, 3 * s - 2):
+                order = 3 * T - x
+                if -order >= prec:
+                    raise _too_short(prec)
+                if not nums[x + 2]:
+                    continue
+                g, k = order % 3, order // 3 - 1
+                c = Fraction(nums[x + 2], den)
+                poly = polys[g]
+                poly.extend([Fraction(0)] * (k + 1 - len(poly)))
+                poly[k] = c
+                prec = min(prec, _element_precision(g, k, f_series))
+                m = babies[x + 2]
+                new_den = lcm(den, c.denominator * m.den)
+                if new_den != den:
+                    nums = [v * (new_den // den) for v in nums]
+                    den = new_den
+                factor = c.numerator * (den // (c.denominator * m.den))
+                nums[x + 2 :] = [v - factor * t for v, t in zip(nums[x + 2 :], m.nums)]
+            nums = convolve(nums[3 * s :], f3s.nums, prec + 3 * (T - s) + 2)
+            den *= f3s.den
+        val = -2
     lead = 0
-    while True:
-        while lead < len(nums) and not nums[lead]:
-            lead += 1
-        if lead == len(nums) or val + lead >= 0:
-            break
-        order = -(val + lead)
-        if order in (1, 2):
-            raise InputError(
-                f"pole order {order} reached; input is not a function with "
-                "poles only above x = infinity"
-            )
-        g, k = order % 3, order // 3 - 1
-        c = Fraction(nums[lead], den)
-        poly = polys[g]
-        poly.extend([Fraction(0)] * (k + 1 - len(poly)))
-        poly[k] = c
-        m = _basis_series(g, k, f_series, basis)
-        new_den = lcm(den, c.denominator * m.den)
-        if new_den != den:
-            nums = [n * (new_den // den) for n in nums]
-            den = new_den
-        factor = c.numerator * (den // (c.denominator * m.den))
-        prec = min(prec, m.prec)
-        del nums[prec - val :]
-        nums[lead:] = [n - factor * t for n, t in zip(nums[lead:], m.nums)]
-    if prec < 9:
-        raise InsufficientPrecisionError(
-            "fewer than 8 positive-exponent coefficients remain to certify "
-            f"the reduction (precision O(q^{prec}))"
+    while lead < len(nums) and not nums[lead]:
+        lead += 1
+    if lead < len(nums) and val + lead < 0:
+        raise InputError(
+            f"pole order {-(val + lead)} reached; input is not a function with "
+            "poles only above x = infinity"
         )
+    if prec < 9:
+        raise _too_short(prec)
     for k in range(max(1, val), prec):
         if nums[k - val]:
             c = Fraction(nums[k - val], den)
@@ -250,8 +304,8 @@ def j_expression(ctx: LevelContext, i: int) -> FExpression:
     """J_i in the f3, f4, f5 basis, cached on the context."""
     key = ("expr", i)
     if key not in ctx._cache:
-        basis = ctx._cache.setdefault("basis", ([], [], []))
-        expr = express_in_basis(symmetric_j_series(ctx, i), ctx.f_series, _cache=basis)
+        tables = ctx._cache.setdefault("basis", {"s": max(1, isqrt(ctx.sigma // 3))})
+        expr = express_in_basis(symmetric_j_series(ctx, i), ctx.f_series, _cache=tables)
         ctx._cache[key] = expr
     return ctx._cache[key]
 

@@ -40,6 +40,7 @@ __all__ = [
     "derive_equation",
     "validate_dataset",
     "dataset_from_json",
+    "dataset_fields",
     "dataset_to_json",
     "load_dataset",
     "bundled_dataset_levels",
@@ -288,6 +289,11 @@ def _json_int_list(value, what: str) -> tuple:
 
 def dataset_from_json(obj: dict) -> ModularDataset:
     """Parse the versioned dataset mapping (decimal-string coefficients)."""
+    return ModularDataset(*dataset_fields(obj))
+
+
+def dataset_fields(obj: dict) -> tuple:
+    """(level, precision, h1, h2) read from the mapping; ModularDataset checks them."""
     if not isinstance(obj, dict):
         raise DatasetError("dataset JSON must be an object")
     if obj.get("format") != 1:
@@ -299,7 +305,7 @@ def dataset_from_json(obj: dict) -> ModularDataset:
         h2 = _json_int_list(obj["h2"], "h2")
     except (KeyError, ValueError) as exc:
         raise DatasetError(f"malformed dataset JSON: {exc}") from exc
-    return ModularDataset(level=level, precision=precision, h1=h1, h2=h2)
+    return level, precision, h1, h2
 
 
 def dataset_to_json(data: ModularDataset) -> dict:

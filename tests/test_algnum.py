@@ -15,6 +15,8 @@ from qstar.algnum import (
     _greedy_generators,
     _is_square,
     _monicize,
+    _primes_upto,
+    _trial_divide,
     factor_rational,
     field_label,
     identify_multiquadratic,
@@ -131,6 +133,37 @@ def test_prime_factors_vs_oracle():
         for _ in range(rng.randint(0, 3)):
             n *= sympy.nextprime(rng.randint(10**5, 10**9)) ** rng.randint(1, 3)
         assert prime_factors(n) == sympy.factorint(n)
+
+
+def _trial_divide_reference(n):
+    """One remainder per sieved prime, ascending, until p*p > n."""
+    out = {}
+    for p in _primes_upto(10**5):
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+    return out, n
+
+
+def test_trial_division_by_prime_blocks_matches_one_prime_at_a_time():
+    # the largest sieved primes: the cofactor 99991 stays undivided after
+    # 99989 only because 99991**2 exceeds it, while 99991**2 divides out
+    assert _trial_divide(99989 * 99991) == ({99989: 1}, 99991)
+    assert _trial_divide(99991**2) == ({99991: 2}, 1)
+    assert prime_factors(99989 * 99991) == {99989: 1, 99991: 1}
+    assert squarefree_kernel(-(99991**2)) == (-1, 99991)
+    rng = random.Random(1009)
+    primes = _primes_upto(10**5)
+    cases = [rng.getrandbits(60) for _ in range(300)]
+    # prime pairs across and at the edges of the blocks of 128 primes
+    cases += [
+        primes[i] * primes[j] ** 2 for i in (0, 127, 128, 9000) for j in (127, 128, 9591)
+    ]
+    cases += [primes[127] * (2**61 - 1), 2**64 * 3**40]
+    for n in cases:
+        assert _trial_divide(n) == _trial_divide_reference(n), n
 
 
 def test_prime_factors_budget_exhaustion():

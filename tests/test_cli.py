@@ -299,6 +299,24 @@ def test_hostile_level_exits_promptly(tmp_path, level, code):
         assert "Traceback" not in proc.stderr
 
 
+def test_semiprime_level_is_refused_before_factoring(tmp_path):
+    # Showing this 200-bit level square-free takes Pollard rho, which runs
+    # its whole budget (about 8 s) and then fails. sigma(N) >= N + 1 refuses
+    # it without --allow-large, and 84 coefficients are short of N + 13 with it.
+    level = (2**99 + 255) * (2**100 + 277)
+    path = write_dataset(tmp_path, "semiprime.json", level=level)
+    for args, message in (
+        (["pipeline", path], f"divisor sum > {level} >= 150"),
+        (["express-j", path], f"divisor sum > {level} >= 150"),
+        (["pipeline", path, "--allow-large"], f"precision > {level + 12}, got 84"),
+        (["express-j", path, "--allow-large"], f"precision > {level + 12}, got 84"),
+    ):
+        proc = run_cli(*args, timeout=5)
+        assert proc.returncode == EXIT_PRECISION, (args, proc.stderr)
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_pipeline_corrupt_dataset(tmp_path):
     raw = dataset_to_json(load_dataset(67))
     raw["h2"] = list(raw["h2"])

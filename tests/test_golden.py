@@ -10,6 +10,8 @@ claims byte-identical output must leave every entry here as it is.
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +60,33 @@ def test_stdout_matches_golden_digest(argv, capsys):
     assert cli.main(list(argv)) == 0
     data = capsys.readouterr().out.encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == GOLDEN[argv]
+
+
+def _make_datasets():
+    path = Path(__file__).resolve().parent.parent / "tools" / "make_datasets.py"
+    spec = importlib.util.spec_from_file_location("make_datasets", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Level 165 has eight divisors, so its eight J_i share the reduction's
+# tables over several blocks; no bundled level has more than four.
+# Digests taken before the reduction became a blocked Horner scheme.
+GOLDEN_165 = {
+    ("express-j", "--allow-large"): (
+        258603, "f86fc3cf2c949e7f50e8a6cb6098aa47e2779bf02e7a71ad42db2433ad591f3b"),
+    ("pipeline", "--height", "100", "--allow-large"): (
+        41521, "2181c2c12714b10310c4a89b33f6497db21230ebb9174dc395e3fead68ab7382"),
+}
+
+
+def test_level_165_stdout_matches_golden_digest(tmp_path, capsys):
+    tool = _make_datasets()
+    data = tool.make_dataset(165, tool.dataset_precision(165), verbose=False)
+    path = tmp_path / "ds165.json"
+    path.write_text(tool.dataset_text(data))
+    for (command, *flags), digest in GOLDEN_165.items():
+        assert cli.main([command, str(path), *flags]) == 0
+        out = capsys.readouterr().out.encode()
+        assert (len(out), hashlib.sha256(out).hexdigest()) == digest, command

@@ -223,9 +223,9 @@ def test_monomial_for_order_anchors():
 
 def test_monomial_order_roundtrip_and_injectivity():
     seen = set()
-    basis = ([], [], [])  # the products, shared across orders as j_expression does
+    tables = {}  # the Horner tables, shared across orders as j_expression shares them
     for n in range(3, 200):
-        e = express_in_basis(_pole(n), POLES, _cache=basis)
+        e = express_in_basis(_pole(n), POLES, _cache=tables)
         assert e.constant == 0
         terms = [(g, k) for g, poly in enumerate(e.polys) for k, c in enumerate(poly) if c]
         assert len(terms) == 1, n

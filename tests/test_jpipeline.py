@@ -467,6 +467,58 @@ def test_integer_greedy_errors_match_series_greedy():
                 assert _outcome(express_in_basis, probe, basis) == expected
 
 
+def test_block_reduction_matches_series_greedy_across_blocks():
+    # three digits a block and pole orders of 27 to 60, so every probe spans
+    # at least three blocks, some with empty top digits; the cuts end the
+    # known coefficients at every digit position of a block
+    fs = _ctx(67).f_series
+    rng = random.Random(314)
+    short = tuple(s.truncate(s.prec - 7) for s in fs)
+    # a short f4 sets the precision below the top element's; a short f3
+    # bounds f4 f3^k and f5 f3^k by f3
+    short_f4 = (fs[0], fs[1].truncate(fs[1].prec - 20), fs[2])
+    short_f3 = (fs[0].truncate(fs[0].prec - 6), fs[1], fs[2])
+    for basis in (fs, _rational_basis(fs), short, short_f4, short_f3):
+        tables = {"s": 3}  # shared across the probes, as j_expression shares them
+        for max_order in (40, 47, 60):
+            probe = _random_member(rng, fs, max_order)
+            assert -probe.val >= 27
+            cuts = range(probe.val + 1, 0) if max_order == 40 else rng.sample(
+                range(probe.val + 1, probe.prec + 1), 8
+            )
+            for cut in (probe.prec, *cuts):
+                series = probe.truncate(cut)
+                expected = _outcome(_greedy_reference, series, basis)
+                assert _outcome(express_in_basis, series, basis) == expected
+                got = _outcome(
+                    lambda f, b: express_in_basis(f, b, _cache=tables), series, basis
+                )
+                assert got == expected
+
+
+@pytest.mark.parametrize("i, certified", [(1, 15), (2, 14)])
+def test_reduction_precision_boundary_level_67(i, certified):
+    # J_i truncated to O(q^t), plus q^(t-1)/7: the reduction certifies
+    # min(t, certified) coefficients, so the marker is seen exactly when
+    # t <= certified, and below 9 the reduction refuses
+    ctx = _ctx(67)
+    series = symmetric_j_series(ctx, i)
+    assert series.prec == certified + 2
+    outcomes = {}
+    for t in range(series.prec - 12, series.prec + 1):
+        marker = LaurentSeries(t - 1, [1], 7)
+        for probe in (series.truncate(t), series.truncate(t) + marker):
+            expected = _outcome(_greedy_reference, probe, ctx.f_series)
+            assert _outcome(express_in_basis, probe, ctx.f_series) == expected
+        outcomes[t] = expected
+    assert outcomes[8][0] is InsufficientPrecisionError
+    assert outcomes[certified] == (
+        InconsistentDatasetError,
+        f"residual tail has nonzero q^{certified - 1} coefficient 1/7",
+    )
+    assert outcomes[certified + 1] == j_expression(ctx, i)
+
+
 # ---------------------------------------------------------------------------
 # evaluation at rational points
 
