@@ -50,6 +50,7 @@ from .errors import (
 from .fixtures import load_table
 from .hyperelliptic import INF_MINUS, CurvePoint, SexticCurve, search_points
 from .jpipeline import (
+    PRECISION_MARGIN,
     LevelContext,
     PointReport,
     divisors,
@@ -212,10 +213,12 @@ def _refuse_before_factoring(level: int, precision: int, allow_large: bool) -> N
     """Refuse a level that only Pollard rho could split, if the budget would.
 
     sigma(N) >= N + 1, so without --allow-large N >= SIGMA_BUDGET fails the
-    divisor-sum refusal, and a precision below N + 13 fails
-    required_precision (sigma + 12), whatever the factors of N.
+    divisor-sum refusal, and a precision of N + PRECISION_MARGIN or less
+    fails required_precision (sigma + PRECISION_MARGIN), whatever the
+    factors of N.
     """
-    if level < SIGMA_BUDGET or (allow_large and precision >= level + 13):
+    floor = level + PRECISION_MARGIN
+    if level < SIGMA_BUDGET or (allow_large and precision > floor):
         return
     try:
         squarefree_kernel(level, budget=0)
@@ -226,7 +229,7 @@ def _refuse_before_factoring(level: int, precision: int, allow_large: bool) -> N
                 "this is a long-running job, pass --allow-large to proceed"
             ) from None
         raise InsufficientPrecisionError(
-            f"level {level} needs dataset precision > {level + 12}, got {precision}"
+            f"level {level} needs dataset precision > {floor}, got {precision}"
         ) from None
 
 
@@ -464,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="dataset file path, or a bundled level number")
     p.add_argument("--index", type=int, help="dump J_i only (1-based)")
     p.add_argument(
-        "--allow-large", action="store_true", help="permit levels with divisor sum > 150"
+        "--allow-large",
+        action="store_true",
+        help=f"permit levels with divisor sum > {SIGMA_BUDGET}",
     )
     p.add_argument("--out", help="also write {data, meta} envelope to this file")
     p.set_defaults(func=cmd_express_j)
@@ -482,7 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--point", help="report a single point: 'x,y' or 'inf-'")
     p.add_argument(
-        "--allow-large", action="store_true", help="permit levels with divisor sum > 150"
+        "--allow-large",
+        action="store_true",
+        help=f"permit levels with divisor sum > {SIGMA_BUDGET}",
     )
     p.add_argument("--out", help="also write {data, meta} envelope to this file")
     p.set_defaults(func=cmd_pipeline)

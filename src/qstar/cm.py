@@ -149,19 +149,6 @@ def _truncation_length(scale: int, qbits: int) -> int:
     return m - 1
 
 
-# c_0, c_1, ... of the j-series, shared by every build
-_J_COEFFICIENTS: list = []
-
-
-def _j_coefficients(terms: int) -> list:
-    """A list starting c_0 .. c_terms; each coefficient is computed once per process."""
-    if len(_J_COEFFICIENTS) <= terms:
-        series = j_expansion(terms + 1)
-        start = len(_J_COEFFICIENTS)
-        _J_COEFFICIENTS.extend(int(series.coeff(n)) for n in range(start, terms + 1))
-    return _J_COEFFICIENTS
-
-
 def _j_at_form(
     form: QuadForm, D: int, scale: int, p: int, coeffs: list, terms: int, qbits: int
 ):
@@ -210,7 +197,7 @@ def _default_scale(D: int, forms: tuple) -> int:
 
 
 @lru_cache(maxsize=256)
-def class_polynomial(D: int, scale_bits: int = None) -> ClassPolynomial:
+def class_polynomial(D: int) -> ClassPolynomial:
     """The monic integer polynomial whose roots are the j-invariants of D.
 
     Every coefficient is computed as a ball and certified when the ball
@@ -219,7 +206,7 @@ def class_polynomial(D: int, scale_bits: int = None) -> ClassPolynomial:
     reuses the lookup's build.
     """
     forms = _reduced_forms(D)
-    scale = scale_bits if scale_bits else _default_scale(D, forms)
+    scale = _default_scale(D, forms)
     while True:
         try:
             return _class_polynomial_at(D, forms, scale)
@@ -238,7 +225,7 @@ def _class_polynomial_at(D: int, forms: tuple, scale: int) -> ClassPolynomial:
     forms = [f for f in forms if f.b >= 0]
     qbits = [_qbits(D, f.a) for f in forms]
     terms = [_truncation_length(scale, qb) for qb in qbits]
-    coeffs = _j_coefficients(max(terms))
+    coeffs = j_expansion(max(terms) + 1).nums[1:]  # c_0 .. c_max(terms)
     p = scale + _GUARD_BITS
     poly = [(1 << p, 0)]  # constant term first
     for form, qb, T in zip(forms, qbits, terms):

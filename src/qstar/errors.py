@@ -51,22 +51,20 @@ class Value:
     on a missing, unknown or repeated field or a surplus argument. A subclass
     that checks or normalizes its arguments defines its own ``__init__`` and
     passes one value per slot, in slot order, to ``Value.__init__``. Two
-    instances are equal when they have the same class and equal public
-    fields, the hash is that of the tuple of public fields, and ``repr``
-    reads ``Name(field=value, ...)``. A slot whose name starts with an
-    underscore is private state that none of these see. Assigning to or
-    deleting any attribute raises AttributeError. Nothing is generated or
-    compiled when a subclass is defined.
+    instances are equal when they have the same class and equal fields,
+    the hash is that of the tuple of fields, and ``repr`` reads
+    ``Name(field=value, ...)``. Assigning to or deleting any attribute
+    raises AttributeError. Nothing is generated or compiled when a
+    subclass is defined.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
-        get = attrgetter(*cls._fields)
-        # the tuple of public fields; attrgetter gives a bare value for one name
-        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda v: (get(v),))
+        get = attrgetter(*cls.__slots__)
+        # the tuple of fields; attrgetter gives a bare value for one name
+        cls._key = staticmethod(get if len(cls.__slots__) > 1 else lambda v: (get(v),))
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -104,7 +102,7 @@ class Value:
         return hash(self._key(self))
 
     def __repr__(self):
-        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{type(self).__qualname__}({args})"
 
     def __setattr__(self, name, value):

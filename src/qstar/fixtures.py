@@ -3,14 +3,14 @@
 The package ships a table of 36 square-free levels whose quotient curve has
 genus 2, each with the sextic model ``y^2 = x^6 + a5 x^5 + ... + a0`` and the
 rational points known on it.  :func:`load_table` parses the JSON once and
-caches the result; :func:`fixture_curve` / :func:`fixture_points` are the
-common entry points.
+caches the result; :func:`fixture_curve` is the common entry point.
 
-A second table records, for each known rational point, the CM discriminants
-and exact j-invariants (or the field the j-invariant generates when its
-degree exceeds 2).  Cells whose source printing is internally inconsistent
-carry an ``anomaly`` note; except for the one row marked ``as_printed``,
-the machine-readable values are verified against the class polynomials by
+A second table, :func:`load_cm_table`, keyed by level like the first,
+records for each known rational point the CM discriminants and exact
+j-invariants (or the field the j-invariant generates when its degree
+exceeds 2).  Cells whose source printing is internally inconsistent carry
+an ``anomaly`` note; except for the one row marked ``as_printed``, the
+machine-readable values are verified against the class polynomials by
 ``tools/check_cm_tables.py``, which the test suite runs.
 """
 
@@ -32,8 +32,6 @@ __all__ = [
     "load_table",
     "load_cm_table",
     "fixture_curve",
-    "fixture_points",
-    "cm_rows",
 ]
 
 # a known j-invariant: exact rational, exact quadratic surd (an element of
@@ -151,25 +149,9 @@ def load_cm_table() -> dict[int, tuple[CMTableRow, ...]]:
     return out
 
 
-def cm_rows(level: int) -> tuple[CMTableRow, ...]:
-    """Known CM rows for ``level``."""
-    table = load_cm_table()
-    if level not in table:
-        raise InputError(f"no CM table for level {level}")
-    return table[level]
-
-
 def fixture_curve(level: int) -> SexticCurve:
     """The bundled sextic model for ``level``."""
     table = load_table()
     if level not in table:
         raise InputError(f"no bundled curve for level {level}")
     return table[level].curve
-
-
-def fixture_points(level: int) -> tuple[CurvePoint, ...]:
-    """Known affine rational points for ``level`` (mirror points expanded)."""
-    table = load_table()
-    if level not in table:
-        raise InputError(f"no bundled curve for level {level}")
-    return table[level].points

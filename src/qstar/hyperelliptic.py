@@ -96,15 +96,6 @@ INF_PLUS = CurvePoint(kind="infinity_plus")
 INF_MINUS = CurvePoint(kind="infinity_minus")
 
 
-def involution(p: CurvePoint) -> CurvePoint:
-    """The hyperelliptic involution w: (x, y) -> (x, -y), inf+ <-> inf-."""
-    if p.kind == "infinity_plus":
-        return INF_MINUS
-    if p.kind == "infinity_minus":
-        return INF_PLUS
-    return CurvePoint(kind="affine", x=p.x, y=-p.y)
-
-
 class FGenerators(Value):
     """f3 = P(x) + y/2, f4 = x*f3 + k4, f5 = x*f4 + k5."""
 

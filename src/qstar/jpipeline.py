@@ -38,14 +38,7 @@ from .errors import (
     QstarError,
     Value,
 )
-from .hyperelliptic import (
-    CurvePoint,
-    FGenerators,
-    SexticCurve,
-    evaluate_f,
-    evaluate_f_series,
-    rr_generators,
-)
+from .hyperelliptic import CurvePoint, evaluate_f, evaluate_f_series, rr_generators
 from .modular import ModularDataset, coordinate_series, derive_equation
 from .series import LaurentSeries, convolve, j_expansion
 
@@ -94,21 +87,12 @@ def required_precision(level: int) -> int:
 class LevelContext(Value):
     """Immutable bundle of everything the pipeline needs for one level.
 
-    Built only by from_data, which derives the sextic model from the dataset
-    and expands its generators f3, f4, f5 as q-series.
+    Built only by from_data, which derives the sextic model from the
+    dataset, expands its generators f3, f4, f5 as q-series and writes
+    J_1 .. J_m in their basis; expressions[i - 1] is J_i.
     """
 
-    __slots__ = ("dataset", "divisors", "curve", "generators", "f_series", "_cache")
-
-    def __init__(
-        self,
-        dataset: ModularDataset,
-        divisors: tuple,
-        curve: SexticCurve,
-        generators: FGenerators,
-        f_series: tuple,  # (f3, f4, f5) LaurentSeries
-    ):
-        super().__init__(dataset, divisors, curve, generators, f_series, {})
+    __slots__ = ("dataset", "divisors", "curve", "generators", "f_series", "expressions")
 
     @property
     def level(self) -> int:
@@ -124,7 +108,8 @@ class LevelContext(Value):
 
     @classmethod
     def from_data(cls, dataset: ModularDataset) -> "LevelContext":
-        """Check the precision, derive the model, and expand f3, f4, f5."""
+        """Check the precision, derive the model, expand f3, f4, f5 and
+        reduce every J_i into their basis against one set of tables."""
         need = required_precision(dataset.level)
         if dataset.precision < need:
             raise InsufficientPrecisionError(
@@ -137,23 +122,23 @@ class LevelContext(Value):
         fs = evaluate_f_series(gens, x, y)
         for i, s in enumerate(fs, start=3):
             assert s.val == -i and s.coeff(-i) == 1, f"f{i} normalization broke"
-        return cls(
-            dataset=dataset,
-            divisors=divisors(dataset.level),
-            curve=curve,
-            generators=gens,
-            f_series=fs,
-        )
+        divs = divisors(dataset.level)
+        esym = _elementary_symmetric(divs, dataset.precision)
+        sigma = sum(divs)
+        assert esym[-1].val == -sigma, "product pole order must be sigma"
+        tables = {"s": max(1, isqrt(sigma // 3))}
+        expressions = tuple(express_in_basis(F, fs, _cache=tables) for F in esym)
+        return cls(dataset, divs, curve, gens, fs, expressions)
 
 
 # ---------------------------------------------------------------------------
 # symmetric functions of the rescaled j-expansions
 
 
-def _elementary_symmetric(ctx: LevelContext) -> tuple:
-    target = ctx.dataset.precision
+def _elementary_symmetric(divs: tuple, target: int) -> tuple:
+    """e_1 .. e_m of {j(dz) : d in divs}, each to precision O(q^target)."""
     scaled = []
-    for d in ctx.divisors:
+    for d in divs:
         base = -(-target // d)
         scaled.append(j_expansion(base).rescale_exponent(d).truncate(target))
     esym = [LaurentSeries.from_fraction(1, target)]
@@ -165,14 +150,11 @@ def _elementary_symmetric(ctx: LevelContext) -> tuple:
 
 
 def symmetric_j_series(ctx: LevelContext, i: int) -> LaurentSeries:
-    """The i-th elementary symmetric function of {j(dz) : d | N} as a series."""
+    """The i-th elementary symmetric function of {j(dz) : d | N} as a series,
+    computed anew on each call (from_data keeps only its reduction)."""
     if not 1 <= i <= ctx.m:
         raise InputError(f"index {i} outside 1..{ctx.m}")
-    if "esym" not in ctx._cache:
-        esym = _elementary_symmetric(ctx)
-        assert esym[-1].val == -ctx.sigma, "product pole order must be sigma"
-        ctx._cache["esym"] = esym
-    return ctx._cache["esym"][i - 1]
+    return _elementary_symmetric(ctx.divisors, ctx.dataset.precision)[i - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +283,10 @@ def express_in_basis(
 
 
 def j_expression(ctx: LevelContext, i: int) -> FExpression:
-    """J_i in the f3, f4, f5 basis, cached on the context."""
-    key = ("expr", i)
-    if key not in ctx._cache:
-        tables = ctx._cache.setdefault("basis", {"s": max(1, isqrt(ctx.sigma // 3))})
-        expr = express_in_basis(symmetric_j_series(ctx, i), ctx.f_series, _cache=tables)
-        ctx._cache[key] = expr
-    return ctx._cache[key]
+    """J_i in the f3, f4, f5 basis, as from_data reduced it."""
+    if not 1 <= i <= ctx.m:
+        raise InputError(f"index {i} outside 1..{ctx.m}")
+    return ctx.expressions[i - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ prec(a*b) = min(prec(a) + val(b), prec(b) + val(a)).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .algnum import _content
@@ -346,7 +345,6 @@ def _build_j(prec: int) -> LaurentSeries:
 _j_longest = None  # the longest j-series built so far in this process
 
 
-@lru_cache(maxsize=32)
 def j_expansion(prec: int) -> LaurentSeries:
     """The modular j-function q-expansion: q**-1 + 744 + 196884 q + ...
 

@@ -663,6 +663,8 @@ def test_traced_pipeline_records_the_point_report(tmp_path, monkeypatch):
 
 def test_precision_cap_raises(monkeypatch):
     class_polynomial(-71)
+    qstar.cm.class_polynomial.cache_clear()
+    monkeypatch.setattr(qstar.cm, "_default_scale", lambda D, forms: 8)
     monkeypatch.setattr(qstar.cm, "_PRECISION_CAP", 64)
     with pytest.raises(PrecisionCapError):
-        class_polynomial(-71, scale_bits=8)
+        class_polynomial(-71)

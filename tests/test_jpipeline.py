@@ -74,15 +74,14 @@ def test_value_classes_compare_hash_order_and_freeze():
         p.x = F(3)
     with pytest.raises(AttributeError):
         del p.y
-    # the per-context cache is private state: outside equality, hash and repr
+    # a context is its six fields: rebuilt from them, it equals and hashes alike
     ctx = _ctx(67)
     twin = LevelContext(
-        ctx.dataset, ctx.divisors, ctx.curve, ctx.generators, ctx.f_series
+        ctx.dataset, ctx.divisors, ctx.curve, ctx.generators, ctx.f_series,
+        ctx.expressions,
     )
-    j_expression(ctx, 1)
-    assert ctx._cache and not twin._cache
     assert ctx == twin and hash(ctx) == hash(twin)
-    assert "_cache" not in repr(ctx)
+    assert repr(ctx) == repr(twin)
 
 
 def test_value_constructor_binds_fields_by_name():
@@ -101,9 +100,9 @@ def test_value_constructor_binds_fields_by_name():
 
 
 def test_reports_store_only_underived_fields():
-    assert FactorReport._fields == ("poly", "multiplicity", "roots", "cm")
-    assert PointReport._fields == ("level", "point", "j_coefficients", "factors")
-    assert ValidationReport._fields == (
+    assert FactorReport.__slots__ == ("poly", "multiplicity", "roots", "cm")
+    assert PointReport.__slots__ == ("level", "point", "j_coefficients", "factors")
+    assert ValidationReport.__slots__ == (
         "level", "derived", "expected", "extra_verified", "error"
     )
 
@@ -234,6 +233,16 @@ def test_symmetric_series_index_range():
         symmetric_j_series(ctx, 0)
     with pytest.raises(InputError):
         symmetric_j_series(ctx, 3)
+
+
+@pytest.mark.parametrize("level", [67, 85])
+def test_j_expression_index_range(level):
+    # expressions[i - 1] alone would hand back J_m for i = 0
+    ctx = _ctx(level)
+    assert j_expression(ctx, ctx.m) == ctx.expressions[-1]
+    for i in (0, ctx.m + 1, -1):
+        with pytest.raises(InputError, match=f"index {i} outside 1..{ctx.m}"):
+            j_expression(ctx, i)
 
 
 def test_symmetric_series_needs_margin():
@@ -479,7 +488,7 @@ def test_block_reduction_matches_series_greedy_across_blocks():
     short_f4 = (fs[0], fs[1].truncate(fs[1].prec - 20), fs[2])
     short_f3 = (fs[0].truncate(fs[0].prec - 6), fs[1], fs[2])
     for basis in (fs, _rational_basis(fs), short, short_f4, short_f3):
-        tables = {"s": 3}  # shared across the probes, as j_expression shares them
+        tables = {"s": 3}  # shared across the probes, as from_data shares them
         for max_order in (40, 47, 60):
             probe = _random_member(rng, fs, max_order)
             assert -probe.val >= 27

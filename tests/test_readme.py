@@ -1,4 +1,4 @@
-"""The README's code examples run as written."""
+"""The README runs as written and names every module."""
 
 import re
 from pathlib import Path
@@ -22,3 +22,15 @@ def test_library_example_runs(capsys):
     # the j-polynomial at (2, -1) on level 67, then one line per factor
     assert lines[0].startswith("(Fraction(")
     assert len(lines) >= 2
+
+
+def test_module_map_names_every_module():
+    """Each src/qstar module but __init__ has one entry in the module map."""
+    text = README.read_text()
+    body = text.split("\nModule map (`src/qstar/`):\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `(\w+)` — ", body, re.M)
+    modules = sorted(
+        p.stem for p in (README.parent / "src" / "qstar").glob("*.py")
+        if p.stem != "__init__"
+    )
+    assert sorted(listed) == modules

@@ -41,7 +41,7 @@ from qstar.algnum import (  # noqa: E402
 )
 from qstar.errors import InputError, QstarError  # noqa: E402
 from qstar.fixtures import fixture_curve  # noqa: E402
-from qstar.jpipeline import divisors  # noqa: E402
+from qstar.jpipeline import required_precision  # noqa: E402
 from qstar.modular import (  # noqa: E402
     bundled_dataset_levels,
     coordinates,
@@ -55,8 +55,8 @@ from qstar.series import LaurentSeries  # noqa: E402
 
 
 def dataset_precision(level):
-    """sigma(N) + 16: enough coefficients for the j pipeline at level N."""
-    return sum(divisors(level)) + 16
+    """sigma(N) + 16: what the j pipeline needs at level N, and four to spare."""
+    return required_precision(level) + 4
 
 
 def eigenvalue(d, t, e=0):
