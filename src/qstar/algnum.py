@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, isqrt, prod
 from typing import Optional
 
@@ -54,36 +54,21 @@ def _small_primes(bound):
 
 # trial division and the choice of a modular prime stop at this bound
 _PRIME_BOUND = 100_000
-_SMALL_PRIMES = [2, 3, 5, 7]  # every prime <= _SIEVED
-_SIEVED = 10
 
 # Pollard-rho steps that one factoring call may spend before it gives up
 RHO_BUDGET = 6_000_000
 
 
-def _primes_upto(bound: int) -> list:
-    """Every prime <= min(bound, _PRIME_BOUND), and perhaps some beyond.
-
-    The sieve is rerun, at least doubling its reach, only when a caller
-    needs more primes than an earlier call did.
-    """
-    global _SMALL_PRIMES, _SIEVED
-    bound = min(bound, _PRIME_BOUND)
-    if bound > _SIEVED:
-        _SIEVED = min(max(bound, 2 * _SIEVED), _PRIME_BOUND)
-        _SMALL_PRIMES = _small_primes(_SIEVED)
-    return _SMALL_PRIMES
+@cache
+def _prime_table() -> tuple:
+    """The primes <= _PRIME_BOUND, ascending, sieved once on first need."""
+    return tuple(_small_primes(_PRIME_BOUND))
 
 
-def _iter_primes():
-    """The primes <= _PRIME_BOUND in order, sieved as the caller reaches them."""
-    i, bound = 0, 64
-    while True:
-        primes = _primes_upto(bound)
-        yield from primes[i:]
-        if bound >= _PRIME_BOUND:
-            return
-        i, bound = len(primes), 2 * bound
+@cache
+def _block_product(i: int) -> int:
+    """The product of the block of 128 table primes that starts at index i."""
+    return prod(_prime_table()[i : i + 128])
 
 
 # Miller-Rabin bases 2..41 decide primality exactly below psi_13
@@ -204,26 +189,22 @@ def _factor_into_primes(n: int, budget: list, out: dict, mult: int = 1):
     _factor_into_primes(n // d, budget, out, mult)
 
 
-_BLOCK_PRODUCTS = {}  # last prime of a block of sieved primes -> their product
-
-
 def _trial_divide(n: int) -> tuple:
-    """({p: e} over the sieved primes dividing n >= 1, the cofactor left).
+    """({p: e} over the table primes dividing n >= 1, the cofactor left).
 
     Ascending, it stops at the first prime p with p*p > n. The primes go in
     blocks of 128, and a block is searched only when its product has a
-    common factor with n.
+    common factor with n. Below 121 = 11**2, 2, 3, 5 and 7 settle n and
+    nothing is sieved.
     """
     out = {}
-    primes = _primes_upto(isqrt(n))
+    tiny = n < 121
+    primes = (2, 3, 5, 7) if tiny else _prime_table()
     for i in range(0, len(primes), 128):
         block = primes[i : i + 128]
         if block[0] ** 2 > n:
             break
-        product = _BLOCK_PRODUCTS.get(block[-1])
-        if product is None:
-            product = _BLOCK_PRODUCTS[block[-1]] = prod(block)
-        g = gcd(n, product)
+        g = gcd(n, 210 if tiny else _block_product(i))
         if g == 1:
             continue
         for p in block:
@@ -352,26 +333,20 @@ def _qdiv_exact(a, b):
     """Exact quotient a / b of integer polynomials; raises if not exact."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(x) for x in a]
-    q = [Fraction(0)] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
-    lead = Fraction(b[-1])
+    rem = list(a)
+    q = [0] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
     while len(rem) >= len(b):
         sh = len(rem) - len(b)
-        c = rem[-1] / lead
+        c, r = divmod(rem[-1], b[-1])
+        if r:
+            raise InputError("polynomial quotient not integral")
         q[sh] = c
         for i, x in enumerate(b):
             rem[sh + i] -= c * x
-        del rem[-1]
-        while rem and rem[-1] == 0:
-            rem.pop()
-    if any(rem):
+        _trim(rem)
+    if rem:
         raise InputError("polynomial division was not exact")
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise InputError("polynomial quotient not integral")
-        out.append(c.numerator)
-    return _trim(out)
+    return _trim(q)
 
 
 def _pseudo_rem(a, b):
@@ -677,7 +652,7 @@ def _squarefree_mod_p(f, p) -> bool:
 
 def _good_primes(f):
     """The primes 16 < p <= _PRIME_BOUND with monic f squarefree mod p."""
-    return (p for p in _iter_primes() if p > 16 and _squarefree_mod_p(f, p))
+    return (p for p in _prime_table() if p > 16 and _squarefree_mod_p(f, p))
 
 
 def _monicize(f):

@@ -53,6 +53,7 @@ from .jpipeline import (
     PRECISION_MARGIN,
     LevelContext,
     PointReport,
+    check_precision,
     divisors,
     j_expression,
     expression_to_json,
@@ -193,7 +194,8 @@ def _emit(data: dict, meta: Optional[dict] = None, out: Optional[str] = None) ->
 def _load_dataset_arg(arg: str, allow_large: Optional[bool] = None) -> ModularDataset:
     """A bundled level number, or a path to a dataset JSON file.
 
-    The commands under the divisor-sum budget pass allow_large."""
+    The commands under the divisor-sum budget pass allow_large, and
+    derive-equation passes None."""
     path = Path(arg)
     if path.exists():
         try:
@@ -201,21 +203,23 @@ def _load_dataset_arg(arg: str, allow_large: Optional[bool] = None) -> ModularDa
         except ValueError as exc:  # also over-long integers and non-UTF-8 bytes
             raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
         fields = dataset_fields(obj)
-        if allow_large is not None:
-            _refuse_before_factoring(*fields[:2], allow_large)
+        _refuse_before_factoring(*fields[:2], allow_large)
         return ModularDataset(*fields)
     if arg.isdigit():
         return load_dataset(int(arg))
     raise DatasetError(f"no such dataset file or bundled level: {arg}")
 
 
-def _refuse_before_factoring(level: int, precision: int, allow_large: bool) -> None:
+def _refuse_before_factoring(
+    level: int, precision: int, allow_large: Optional[bool]
+) -> None:
     """Refuse a level that only Pollard rho could split, if the budget would.
 
     sigma(N) >= N + 1, so without --allow-large N >= SIGMA_BUDGET fails the
     divisor-sum refusal, and a precision of N + PRECISION_MARGIN or less
     fails required_precision (sigma + PRECISION_MARGIN), whatever the
-    factors of N.
+    factors of N. derive-equation has no budget (allow_large is None), and
+    refuses every such level rather than spend Pollard rho's budget on it.
     """
     floor = level + PRECISION_MARGIN
     if level < SIGMA_BUDGET or (allow_large and precision > floor):
@@ -223,6 +227,11 @@ def _refuse_before_factoring(level: int, precision: int, allow_large: bool) -> N
     try:
         squarefree_kernel(level, budget=0)
     except FactorizationError:  # only Pollard rho could split the level
+        if allow_large is None:
+            raise PrecisionError(
+                f"level {level} could be shown square-free only by Pollard rho; "
+                "refused before factoring"
+            ) from None
         if not allow_large:
             raise PrecisionError(
                 f"level {level} has divisor sum > {level} >= {SIGMA_BUDGET}; "
@@ -234,13 +243,15 @@ def _refuse_before_factoring(level: int, precision: int, allow_large: bool) -> N
 
 
 def _require_pipeline_budget(data: ModularDataset, allow_large: bool) -> None:
-    """Refuse a large level before any series work unless --allow-large."""
+    """Refuse a large level unless --allow-large, and a short dataset, before
+    any series work."""
     sigma = sum(divisors(data.level))
     if sigma > SIGMA_BUDGET and not allow_large:
         raise PrecisionError(
             f"level {data.level} has divisor sum {sigma} > {SIGMA_BUDGET}; "
             "this is a long-running job, pass --allow-large to proceed"
         )
+    check_precision(data)
 
 
 def _curve_json(curve: SexticCurve) -> dict:
@@ -309,16 +320,17 @@ def cmd_pipeline(args) -> int:
     data_set = _load_dataset_arg(args.dataset, args.allow_large)
     _require_pipeline_budget(data_set, args.allow_large)
     t0 = time.perf_counter()
-    ctx = LevelContext.from_data(data_set)
+    # the model alone settles the points, so a bad --point costs no J_i
+    curve = derive_equation(data_set)
     if args.point is not None:
-        points = [_parse_point(args.point, ctx.curve)]
+        points = [_parse_point(args.point, curve)]
         source = "given"
     else:
         points = [
-            p for p in search_points(ctx.curve, args.height)
-            if p.kind != "infinity_plus"
+            p for p in search_points(curve, args.height) if p.kind != "infinity_plus"
         ]
         source = "search"
+    ctx = LevelContext.from_data(data_set)
     reports, seconds = [], []
     for p in points:
         t = time.perf_counter()

@@ -46,7 +46,6 @@ __all__ = [
     "FExpression",
     "LevelContext",
     "divisors",
-    "symmetric_j_series",
     "express_in_basis",
     "j_expression",
     "evaluate_expression",
@@ -55,6 +54,7 @@ __all__ = [
     "PointReport",
     "point_report",
     "required_precision",
+    "check_precision",
     "expression_to_json",
 ]
 
@@ -84,6 +84,16 @@ def required_precision(level: int) -> int:
     return sum(divisors(level)) + PRECISION_MARGIN
 
 
+def check_precision(dataset: ModularDataset) -> None:
+    """Refuse a dataset shorter than required_precision of its level."""
+    need = required_precision(dataset.level)
+    if dataset.precision < need:
+        raise InsufficientPrecisionError(
+            f"level {dataset.level} needs dataset precision >= {need}, "
+            f"got {dataset.precision}"
+        )
+
+
 class LevelContext(Value):
     """Immutable bundle of everything the pipeline needs for one level.
 
@@ -110,12 +120,7 @@ class LevelContext(Value):
     def from_data(cls, dataset: ModularDataset) -> "LevelContext":
         """Check the precision, derive the model, expand f3, f4, f5 and
         reduce every J_i into their basis against one set of tables."""
-        need = required_precision(dataset.level)
-        if dataset.precision < need:
-            raise InsufficientPrecisionError(
-                f"level {dataset.level} needs dataset precision >= {need}, "
-                f"got {dataset.precision}"
-            )
+        check_precision(dataset)
         curve = derive_equation(dataset)
         gens = rr_generators(curve)
         x, y = coordinate_series(dataset)  # cached by derive_equation's call
@@ -147,14 +152,6 @@ def _elementary_symmetric(divs: tuple, target: int) -> tuple:
         for i in range(len(esym) - 2, 0, -1):
             esym[i] = esym[i] + t * esym[i - 1]
     return tuple(esym[1:])
-
-
-def symmetric_j_series(ctx: LevelContext, i: int) -> LaurentSeries:
-    """The i-th elementary symmetric function of {j(dz) : d | N} as a series,
-    computed anew on each call (from_data keeps only its reduction)."""
-    if not 1 <= i <= ctx.m:
-        raise InputError(f"index {i} outside 1..{ctx.m}")
-    return _elementary_symmetric(ctx.divisors, ctx.dataset.precision)[i - 1]
 
 
 # ---------------------------------------------------------------------------

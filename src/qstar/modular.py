@@ -186,12 +186,14 @@ def relation_residual(x: LaurentSeries, y: LaurentSeries, coeffs) -> LaurentSeri
     return residual
 
 
+@lru_cache(maxsize=16)
 def derive_equation(data: ModularDataset) -> SexticCurve:
     """The sextic y^2 = x^6 + a5 x^5 + ... + a0 satisfied by the coordinates.
 
     Matches the q^-5 ... q^0 coefficients of y^2 - x^6 greedily against
     x^5, ..., x, 1, then requires every remaining known coefficient of the
-    residual to vanish and every a_i to be an integer.
+    residual to vanish and every a_i to be an integer. Cached, so a caller
+    that needs the model before LevelContext.from_data derives it once.
     """
     if data.precision < _MIN_DERIVE_PRECISION:
         raise InsufficientPrecisionError(

@@ -342,7 +342,9 @@ def _build_j(prec: int) -> LaurentSeries:
     return (e4**3 / eta**24).shift(-1)
 
 
-_j_longest = None  # the longest j-series built so far in this process
+# the longest j-series built so far in this process, in a one-slot list;
+# it starts as q**-1 + O(q**0), which needs no build
+_J_LONGEST = [LaurentSeries(-1, [1], 1, _normalized=True)]
 
 
 def j_expansion(prec: int) -> LaurentSeries:
@@ -352,12 +354,10 @@ def j_expansion(prec: int) -> LaurentSeries:
     call truncates one series per process, the longest built so far; a
     request past it rebuilds it at max(prec, twice its precision).
     """
-    global _j_longest
     if prec < 0:
         raise ValueError("j expansion needs precision >= 0")
-    if _j_longest is None:
-        _j_longest = _build_j(prec)
-    elif _j_longest.prec < prec:
-        _j_longest = _build_j(max(prec, 2 * _j_longest.prec))
+    longest = _J_LONGEST[0]
+    if longest.prec < prec:
+        longest = _J_LONGEST[0] = _build_j(max(prec, 2 * longest.prec))
     # the q**-1 coefficient is 1, so the truncation is already normalized
-    return LaurentSeries(-1, _j_longest.nums[: prec + 1], 1, _normalized=True)
+    return LaurentSeries(-1, longest.nums[: prec + 1], 1, _normalized=True)

@@ -41,9 +41,9 @@ from qstar.hyperelliptic import (
 )
 from qstar.jpipeline import (
     LevelContext,
+    _elementary_symmetric,
     j_expression,
     j_polynomial_at_point,
-    symmetric_j_series,
 )
 from qstar.modular import (
     bundled_dataset_levels,
@@ -161,8 +161,8 @@ def test_criterion_3_j_expression_anchors_and_reconstruction():
     # substituting the generator q-expansions back into each expression must
     # reproduce the symmetric function through the dataset's full precision
     fs = ctx.f_series
-    for i, expr in ((1, e1), (2, e2)):
-        target = symmetric_j_series(ctx, i)
+    targets = _elementary_symmetric(ctx.divisors, ctx.dataset.precision)
+    for i, (target, expr) in enumerate(zip(targets, (e1, e2)), start=1):
         acc = LaurentSeries.from_fraction(expr.constant, target.prec)
         for gen, poly in zip(fs, expr.polys):
             element = gen  # gen * f3^k

@@ -15,8 +15,10 @@ from qstar.algnum import (
     _greedy_generators,
     _is_square,
     _monicize,
-    _primes_upto,
+    _prime_table,
+    _qdiv_exact,
     _trial_divide,
+    _zmul,
     factor_rational,
     field_label,
     identify_multiquadratic,
@@ -138,7 +140,7 @@ def test_prime_factors_vs_oracle():
 def _trial_divide_reference(n):
     """One remainder per sieved prime, ascending, until p*p > n."""
     out = {}
-    for p in _primes_upto(10**5):
+    for p in _prime_table():
         if p * p > n:
             break
         while n % p == 0:
@@ -155,7 +157,7 @@ def test_trial_division_by_prime_blocks_matches_one_prime_at_a_time():
     assert prime_factors(99989 * 99991) == {99989: 1, 99991: 1}
     assert squarefree_kernel(-(99991**2)) == (-1, 99991)
     rng = random.Random(1009)
-    primes = _primes_upto(10**5)
+    primes = _prime_table()
     cases = [rng.getrandbits(60) for _ in range(300)]
     # prime pairs across and at the edges of the blocks of 128 primes
     cases += [
@@ -171,6 +173,22 @@ def test_prime_factors_budget_exhaustion():
     assert semiprime.bit_length() == 200
     with pytest.raises(FactorizationError):
         prime_factors(semiprime, budget=100)
+
+
+def test_exact_division_stays_in_integers():
+    rng = random.Random(2718)
+    for _ in range(200):
+        a = [rng.randint(-50, 50) for _ in range(rng.randint(0, 5))]
+        a.append(rng.choice((-3, -1, 1, 2, 5)))
+        b = [rng.randint(-50, 50) for _ in range(rng.randint(0, 3))]
+        b.append(rng.choice((-2, 1, 3)))
+        q = _qdiv_exact(_zmul(a, b), b)
+        assert q == a and all(type(c) is int for c in q)
+    # x**2 + 1 = (x + 1)(x - 1) + 2, and x / (2x) = 1/2
+    with pytest.raises(InputError, match="not exact"):
+        _qdiv_exact([1, 0, 1], [1, 1])
+    with pytest.raises(InputError, match="not integral"):
+        _qdiv_exact([0, 1], [0, 2])
 
 
 # --- IntPolynomial basics ----------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 import qstar.cli
 import qstar.cm
 import qstar.jpipeline
+import qstar.modular
 from qstar.algnum import (
     IntPolynomial,
     MultiQuadElement,
@@ -261,6 +262,32 @@ def test_pipeline_point_errors():
     assert run_cli("pipeline", "67", "--height", "0").returncode == EXIT_INPUT
 
 
+def test_off_curve_point_is_refused_before_the_level_is_built(
+    tmp_path, monkeypatch, capsys
+):
+    # the point is read against the derived model, which is derived once
+    qstar.modular.derive_equation.cache_clear()
+    assert qstar.cli.main(["pipeline", "67", "--point", "inf-"]) == EXIT_OK
+    assert qstar.modular.derive_equation.cache_info().misses == 1
+    capsys.readouterr()
+
+    class NeverBuilt:
+        @classmethod
+        def from_data(cls, dataset):
+            raise AssertionError("LevelContext.from_data ran for an off-curve point")
+
+    monkeypatch.setattr(qstar.cli, "LevelContext", NeverBuilt)
+    assert qstar.cli.main(["pipeline", "85", "--point", "5,7"]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "input error: (5, 7) does not lie on the curve\n")
+    # a dataset short of required_precision still exits 4 before the point is read
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(dataset_to_json(load_dataset(67).truncate(40))))
+    assert qstar.cli.main(["pipeline", str(path), "--point", "5,7"]) == EXIT_PRECISION
+    out, err = capsys.readouterr()
+    assert out == "" and ">= 80, got 40" in err
+
+
 def test_pipeline_truncated_dataset_reports_requirement(tmp_path):
     raw = dataset_to_json(load_dataset(67))
     raw["precision"] = 40
@@ -303,13 +330,17 @@ def test_semiprime_level_is_refused_before_factoring(tmp_path):
     # Showing this 200-bit level square-free takes Pollard rho, which runs
     # its whole budget (about 8 s) and then fails. sigma(N) >= N + 1 refuses
     # it without --allow-large, and 84 coefficients are short of N + 13 with it.
+    # derive-equation has no divisor-sum budget and refuses it outright.
     level = (2**99 + 255) * (2**100 + 277)
     path = write_dataset(tmp_path, "semiprime.json", level=level)
+    only_rho = f"level {level} could be shown square-free only by Pollard rho"
     for args, message in (
         (["pipeline", path], f"divisor sum > {level} >= 150"),
         (["express-j", path], f"divisor sum > {level} >= 150"),
         (["pipeline", path, "--allow-large"], f"precision > {level + 12}, got 84"),
         (["express-j", path, "--allow-large"], f"precision > {level + 12}, got 84"),
+        (["derive-equation", path], only_rho),
+        (["derive-equation", path, "--check-table"], only_rho),
     ):
         proc = run_cli(*args, timeout=5)
         assert proc.returncode == EXIT_PRECISION, (args, proc.stderr)
@@ -591,6 +622,47 @@ def test_usage_error_exit_code():
     assert run_cli("pipeline").returncode == EXIT_INPUT  # missing dataset arg
     assert run_cli("pipeline", "67", "--jobs", "2").returncode == EXIT_INPUT
     assert run_cli("validate-all", "--jobs", "2").returncode == EXIT_INPUT
+
+
+def _non_string_leaves(node, path=()):
+    """The paths of the JSON leaves that are not a string, a boolean or null."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _non_string_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _non_string_leaves(value, path + (i,))
+    elif node is not None and not isinstance(node, (str, bool)):
+        yield path
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["pipeline", "85", "--height", "100"],
+        ["pipeline", "67", "--point", "inf-"],
+        ["express-j", "67"],
+        ["derive-equation", "67", "--check-table"],
+        ["search-points", "--level", "67", "--json"],
+        ["identify-cm", "--minpoly", "1", "-54000"],
+        ["identify-cm", "--minpoly", "1", "-1"],
+        ["validate-all"],
+    ],
+    ids=" ".join,
+)
+def test_stdout_json_leaves_are_strings_booleans_or_null(args, capsys):
+    assert qstar.cli.main(args) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    leaves = list(_non_string_leaves(data))
+    if args[0] == "express-j":
+        # the one exception until ROADMAP item 14: the integer "k" of each term
+        assert leaves
+        for path in leaves:
+            assert path[::2] == ("expressions", "terms", "k"), path
+            value = data[path[0]][path[1]][path[2]][path[3]][path[4]]
+            assert type(value) is int, path
+        leaves = []
+    assert leaves == []
 
 
 def test_help_exits_zero():

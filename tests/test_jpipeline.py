@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -21,6 +22,7 @@ from qstar.jpipeline import (
     LevelContext,
     PointReport,
     PRECISION_MARGIN,
+    _elementary_symmetric,
     divisors,
     expression_to_json,
     express_in_basis,
@@ -29,7 +31,6 @@ from qstar.jpipeline import (
     j_polynomial_at_point,
     point_report,
     required_precision,
-    symmetric_j_series,
 )
 import qstar.modular
 from qstar.modular import (
@@ -46,6 +47,12 @@ F = Fraction
 
 def _ctx(level):
     return LevelContext.from_data(load_dataset(level))
+
+
+@lru_cache(maxsize=None)
+def _symmetric_series(level):
+    """e_1 .. e_m of {j(dz) : d | level} as series, formed once per level."""
+    return _elementary_symmetric(divisors(level), load_dataset(level).precision)
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +222,20 @@ def test_f_series_rejects_low_precision():
 
 
 def test_symmetric_series_level_67():
-    ctx = _ctx(67)
-    s1 = symmetric_j_series(ctx, 1)
+    s1, s2 = _symmetric_series(67)
     assert s1.val == -67
     assert s1.coeff(-67) == 1
     assert s1.coeff(-1) == 1
     assert s1.coeff(0) == 1488
 
-    s2 = symmetric_j_series(ctx, 2)
     assert s2.val == -68
     assert s2.coeff(-68) == 1
 
 
 def test_symmetric_series_index_range():
+    # e_1 .. e_m and nothing more: J_i exists exactly for i in 1..m
     ctx = _ctx(67)
-    with pytest.raises(InputError):
-        symmetric_j_series(ctx, 0)
-    with pytest.raises(InputError):
-        symmetric_j_series(ctx, 3)
+    assert len(_symmetric_series(67)) == ctx.m == 2
 
 
 @pytest.mark.parametrize("level", [67, 85])
@@ -283,7 +286,7 @@ def test_expression_reconstructs_series(level, i):
     # Substituting the generator q-expansions back into the expression
     # must reproduce the symmetric sum through the available precision.
     ctx = _ctx(level)
-    target = symmetric_j_series(ctx, i)
+    target = _symmetric_series(level)[i - 1]
     e = j_expression(ctx, i)
     s3 = ctx.f_series[0]
     acc = LaurentSeries.from_fraction(e.constant, target.prec)
@@ -301,8 +304,7 @@ def test_vieta_products_level_67():
     # J1 and J2 are the coefficient functions of (T - j(z))(T - j(67 z)),
     # so J1^2 - 4*J2 must be the square of j(z) - j(67 z).
     ctx = _ctx(67)
-    s1 = symmetric_j_series(ctx, 1)
-    s2 = symmetric_j_series(ctx, 2)
+    s1, s2 = _symmetric_series(67)
     lhs = s1 * s1 - s2.scale(4)
     prec = lhs.prec
     d1 = ctx.dataset.precision
@@ -511,7 +513,7 @@ def test_reduction_precision_boundary_level_67(i, certified):
     # min(t, certified) coefficients, so the marker is seen exactly when
     # t <= certified, and below 9 the reduction refuses
     ctx = _ctx(67)
-    series = symmetric_j_series(ctx, i)
+    series = _symmetric_series(67)[i - 1]
     assert series.prec == certified + 2
     outcomes = {}
     for t in range(series.prec - 12, series.prec + 1):

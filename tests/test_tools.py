@@ -12,7 +12,7 @@ import pytest
 
 from qstar.algnum import (
     MultiQuadElement,
-    _iter_primes,
+    _prime_table,
     _squarefree_mod_p,
     is_probable_prime,
 )
@@ -35,7 +35,7 @@ check_cm_tables = _load_tool("check_cm_tables")
 
 
 def test_prime_walk_yields_exactly_the_primes_below_250():
-    walked = list(takewhile(lambda p: p < 250, _iter_primes()))
+    walked = list(takewhile(lambda p: p < 250, _prime_table()))
     by_trial_division = [
         n for n in range(2, 250) if all(n % q for q in range(2, int(n**0.5) + 1))
     ]
@@ -44,7 +44,7 @@ def test_prime_walk_yields_exactly_the_primes_below_250():
 
 
 def test_unbounded_prime_walk_continues_past_the_small_primes():
-    walk = dropwhile(lambda p: p < 113, _iter_primes())
+    walk = dropwhile(lambda p: p < 113, _prime_table())
     assert [next(walk) for _ in range(5)] == [113, 127, 131, 137, 139]
 
 

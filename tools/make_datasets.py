@@ -34,7 +34,7 @@ if str(SRC) not in sys.path:
 
 from qstar.algnum import (  # noqa: E402
     MultiQuadElement,
-    _iter_primes,
+    _prime_table,
     _squarefree_mod_p,
     prime_factors,
     squarefree_kernel,
@@ -189,7 +189,7 @@ def detect_field(fc, level):
     good prime (p not dividing the level or disc(f)) whose conjugate pair is
     distinct.  Returns (d, {p: (t, s)})."""
     pinned = {}
-    for p in _iter_primes():
+    for p in _prime_table():
         if p > 2 and level % p and _squarefree_mod_p(fc, p):
             t, s = norm_pair_mod_p2(fc, p)
             pinned[p] = (t, s)
@@ -265,7 +265,7 @@ def make_dataset(level, precision, verbose=True):
     log("small primes: " + ", ".join(f"a_{p} = {q}" for p, q in prime_table.items()))
 
     # --- greedy stage: p >= 11 ascending, surd part from an affine probe ---
-    for p in takewhile(lambda p: p < work, _iter_primes()):
+    for p in takewhile(lambda p: p < work, _prime_table()):
         if p in prime_table:
             continue
         if level % p == 0:
