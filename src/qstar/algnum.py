@@ -49,7 +49,7 @@ def _small_primes(bound):
     for i in range(2, isqrt(bound) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, bound + 1, i)))
-    return list(itertools.compress(range(bound + 1), sieve))
+    return tuple(itertools.compress(range(bound + 1), sieve))
 
 
 # trial division and the choice of a modular prime stop at this bound
@@ -62,7 +62,7 @@ RHO_BUDGET = 6_000_000
 @cache
 def _prime_table() -> tuple:
     """The primes <= _PRIME_BOUND, ascending, sieved once on first need."""
-    return tuple(_small_primes(_PRIME_BOUND))
+    return _small_primes(_PRIME_BOUND)
 
 
 @cache
