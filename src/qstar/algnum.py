@@ -334,7 +334,7 @@ def _qdiv_exact(a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
-    q = [0] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
+    q = [0] * (len(a) - len(b) + 1)  # empty when deg a < deg b
     while len(rem) >= len(b):
         sh = len(rem) - len(b)
         c, r = divmod(rem[-1], b[-1])

@@ -342,8 +342,7 @@ def _build_j(prec: int) -> LaurentSeries:
     return (e4**3 / eta**24).shift(-1)
 
 
-# the longest j-series built so far in this process, in a one-slot list;
-# it starts as q**-1 + O(q**0), which needs no build
+# the longest j-series built so far in this process; q**-1 + O(q**0) needs no build
 _J_LONGEST = [LaurentSeries(-1, [1], 1, _normalized=True)]
 
 
