@@ -33,7 +33,6 @@ from .algnum import (
     MultiQuadElement,
     field_label,
     poly_str,
-    squarefree_kernel,
 )
 from .cm import class_polynomial, identify_cm
 from .errors import (
@@ -50,7 +49,6 @@ from .errors import (
 from .fixtures import load_table
 from .hyperelliptic import INF_MINUS, CurvePoint, SexticCurve, search_points
 from .jpipeline import (
-    PRECISION_MARGIN,
     LevelContext,
     PointReport,
     check_precision,
@@ -62,7 +60,7 @@ from .jpipeline import (
 from .modular import (
     ModularDataset,
     bundled_dataset_levels,
-    dataset_fields,
+    dataset_from_json,
     derive_equation,
     load_dataset,
     validate_dataset,
@@ -81,6 +79,8 @@ EXIT_PRECISION = 4
 SIGMA_BUDGET = 150
 
 DEFAULT_HEIGHT = 100
+
+MAX_DIGITS = 4300  # Python prints no integer with more digits than this
 
 
 # ---------------------------------------------------------------------------
@@ -102,22 +102,27 @@ def _parse_point(text: str, curve: SexticCurve) -> CurvePoint:
     parts = t.split(",")
     if len(parts) != 2:
         raise InputError(f"point must be 'x,y' or 'inf-', got {text!r}")
-    try:
-        x, y = Fraction(parts[0].strip()), Fraction(parts[1].strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad point coordinates {text!r}: {exc}") from exc
+    x, y = (_parse_number(part, "point coordinate") for part in parts)
     return curve.point(x, y)  # validates membership
 
 
-def _parse_coeff_args(tokens, what: str) -> list:
-    """Leading-to-constant command-line coefficients as exact rationals."""
-    out = []
-    for tok in tokens:
-        try:
-            out.append(Fraction(tok))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad {what} coefficient {tok!r}: {exc}") from exc
-    return out
+def _parse_number(token: str, what: str) -> Fraction:
+    """An exact rational from a command-line token such as -3, 3/2 or 2.5e3.
+
+    Refused when its numerator or denominator reaches 10**MAX_DIGITS. A
+    nonzero m * 10**e with |e| >= MAX_DIGITS + len(m) always does, so it is
+    refused before the power of ten is built.
+    """
+    text = token.strip()
+    mantissa, e, exponent = text.lower().partition("e")
+    try:
+        huge = bool(e) and abs(int(exponent)) >= MAX_DIGITS + len(mantissa)
+        x = Fraction(mantissa if huge else text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad {what} {token!r}: {exc}") from exc
+    if (huge and x) or max(abs(x.numerator), x.denominator) >= 10**MAX_DIGITS:
+        raise InputError(f"{what} {token!r} needs more than {MAX_DIGITS} digits")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -191,55 +196,18 @@ def _emit(data: dict, meta: Optional[dict] = None, out: Optional[str] = None) ->
         Path(out).write_text(json.dumps(envelope, indent=2) + "\n")
 
 
-def _load_dataset_arg(arg: str, allow_large: Optional[bool] = None) -> ModularDataset:
-    """A bundled level number, or a path to a dataset JSON file.
-
-    The commands under the divisor-sum budget pass allow_large, and
-    derive-equation passes None."""
+def _load_dataset_arg(arg: str) -> ModularDataset:
+    """A bundled level number, or a path to a dataset JSON file."""
     path = Path(arg)
     if path.exists():
         try:
             obj = json.loads(path.read_text())
         except ValueError as exc:  # also over-long integers and non-UTF-8 bytes
             raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
-        fields = dataset_fields(obj)
-        _refuse_before_factoring(*fields[:2], allow_large)
-        return ModularDataset(*fields)
+        return dataset_from_json(obj)
     if arg.isdigit():
         return load_dataset(int(arg))
     raise DatasetError(f"no such dataset file or bundled level: {arg}")
-
-
-def _refuse_before_factoring(
-    level: int, precision: int, allow_large: Optional[bool]
-) -> None:
-    """Refuse a level that only Pollard rho could split, if the budget would.
-
-    sigma(N) >= N + 1, so without --allow-large N >= SIGMA_BUDGET fails the
-    divisor-sum refusal, and a precision of N + PRECISION_MARGIN or less
-    fails required_precision (sigma + PRECISION_MARGIN), whatever the
-    factors of N. derive-equation has no budget (allow_large is None), and
-    refuses every such level rather than spend Pollard rho's budget on it.
-    """
-    floor = level + PRECISION_MARGIN
-    if level < SIGMA_BUDGET or (allow_large and precision > floor):
-        return
-    try:
-        squarefree_kernel(level, budget=0)
-    except FactorizationError:  # only Pollard rho could split the level
-        if allow_large is None:
-            raise PrecisionError(
-                f"level {level} could be shown square-free only by Pollard rho; "
-                "refused before factoring"
-            ) from None
-        if not allow_large:
-            raise PrecisionError(
-                f"level {level} has divisor sum > {level} >= {SIGMA_BUDGET}; "
-                "this is a long-running job, pass --allow-large to proceed"
-            ) from None
-        raise InsufficientPrecisionError(
-            f"level {level} needs dataset precision > {floor}, got {precision}"
-        ) from None
 
 
 def _require_pipeline_budget(data: ModularDataset, allow_large: bool) -> None:
@@ -289,16 +257,14 @@ def cmd_derive_equation(args) -> int:
 
 
 def cmd_express_j(args) -> int:
-    data_set = _load_dataset_arg(args.dataset, args.allow_large)
+    data_set = _load_dataset_arg(args.dataset)
     _require_pipeline_budget(data_set, args.allow_large)
+    m = len(divisors(data_set.level))
+    if args.index is not None and not 1 <= args.index <= m:
+        raise InputError(f"index must be between 1 and {m} for level {data_set.level}")
+    indices = [args.index] if args.index is not None else list(range(1, m + 1))
     t0 = time.perf_counter()
     ctx = LevelContext.from_data(data_set)
-    if args.index is not None:
-        if not 1 <= args.index <= ctx.m:
-            raise InputError(f"index must be between 1 and {ctx.m} for level {ctx.level}")
-        indices = [args.index]
-    else:
-        indices = list(range(1, ctx.m + 1))
     expressions = []
     for i in indices:
         entry = {"i": str(i)}
@@ -317,7 +283,7 @@ def cmd_express_j(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    data_set = _load_dataset_arg(args.dataset, args.allow_large)
+    data_set = _load_dataset_arg(args.dataset)
     _require_pipeline_budget(data_set, args.allow_large)
     t0 = time.perf_counter()
     # the model alone settles the points, so a bad --point costs no J_i
@@ -364,7 +330,7 @@ def cmd_search_points(args) -> int:
         curve, complete = fixture.curve, fixture.points_complete
         head = {"level": str(args.level)}
     else:
-        coeffs = _parse_coeff_args(args.equation, "equation")
+        coeffs = [_parse_number(tok, "equation coefficient") for tok in args.equation]
         if len(coeffs) != 7:
             raise InputError("equation needs 7 coefficients (leading term first)")
         if coeffs[0] != 1:
@@ -398,7 +364,7 @@ def cmd_search_points(args) -> int:
 
 
 def cmd_identify_cm(args) -> int:
-    coeffs = _parse_coeff_args(args.minpoly, "minpoly")
+    coeffs = [_parse_number(tok, "minpoly coefficient") for tok in args.minpoly]
     if any(c.denominator != 1 for c in coeffs):
         raise InputError("minimal polynomial must have integer coefficients")
     g = IntPolynomial([int(c) for c in reversed(coeffs)])

@@ -426,6 +426,6 @@ def expression_to_json(e: FExpression) -> dict:
     return {
         "constant": str(e.constant),
         "terms": [
-            {"k": k, "gen": f"f{3 + g}", "coeff": str(c)} for _, g, k, c in terms
+            {"k": str(k), "gen": f"f{3 + g}", "coeff": str(c)} for _, g, k, c in terms
         ],
     }

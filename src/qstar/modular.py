@@ -20,10 +20,12 @@ from typing import Optional
 from .algnum import squarefree_kernel
 from .errors import (
     DatasetError,
+    FactorizationError,
     InconsistentDatasetError,
     InputError,
     InsufficientPrecisionError,
     NonIntegralCoefficientError,
+    PrecisionError,
     Value,
 )
 from .hyperelliptic import SexticCurve
@@ -40,7 +42,6 @@ __all__ = [
     "derive_equation",
     "validate_dataset",
     "dataset_from_json",
-    "dataset_fields",
     "dataset_to_json",
     "load_dataset",
     "bundled_dataset_levels",
@@ -56,13 +57,22 @@ class ModularDataset(Value):
     """Echelon basis pair of a level: h1 = q + 0 q^2 + ..., h2 = q^2 + ...
 
     ``h1`` lists the integer coefficients of q^1 ... q^(precision-1) and
-    ``h2`` those of q^2 ... q^(precision-1).
+    ``h2`` those of q^2 ... q^(precision-1). A level that only Pollard rho
+    could show square-free has two prime factors past trial division, far
+    past every level the procedure applies to, and raises PrecisionError.
     """
 
     __slots__ = ("level", "precision", "h1", "h2")
 
     def __init__(self, level: int, precision: int, h1: tuple, h2: tuple):
-        if level < 1 or squarefree_kernel(level)[1] != 1:
+        try:
+            squarefree = level >= 1 and squarefree_kernel(level, budget=0)[1] == 1
+        except FactorizationError:
+            raise PrecisionError(
+                f"level {level} could be shown square-free only by Pollard rho; "
+                "refused before factoring"
+            ) from None
+        if not squarefree:
             raise DatasetError(f"level must be square-free, got {level}")
         if precision < 3:
             raise DatasetError(f"precision must be at least 3, got {precision}")
@@ -291,11 +301,6 @@ def _json_int_list(value, what: str) -> tuple:
 
 def dataset_from_json(obj: dict) -> ModularDataset:
     """Parse the versioned dataset mapping (decimal-string coefficients)."""
-    return ModularDataset(*dataset_fields(obj))
-
-
-def dataset_fields(obj: dict) -> tuple:
-    """(level, precision, h1, h2) read from the mapping; ModularDataset checks them."""
     if not isinstance(obj, dict):
         raise DatasetError("dataset JSON must be an object")
     if obj.get("format") != 1:
@@ -307,7 +312,7 @@ def dataset_fields(obj: dict) -> tuple:
         h2 = _json_int_list(obj["h2"], "h2")
     except (KeyError, ValueError) as exc:
         raise DatasetError(f"malformed dataset JSON: {exc}") from exc
-    return level, precision, h1, h2
+    return ModularDataset(level, precision, h1, h2)
 
 
 def dataset_to_json(data: ModularDataset) -> dict:

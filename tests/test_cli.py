@@ -22,7 +22,7 @@ from qstar.algnum import (
     quadratic_surd_roots,
 )
 from qstar.cm import class_polynomial
-from qstar.errors import FactorizationError, PrecisionCapError, QstarError
+from qstar.errors import FactorizationError, InputError, PrecisionCapError, QstarError
 from qstar.fixtures import load_table
 from qstar.modular import dataset_to_json, load_dataset
 
@@ -262,6 +262,46 @@ def test_pipeline_point_errors():
     assert run_cli("pipeline", "67", "--height", "0").returncode == EXIT_INPUT
 
 
+@pytest.mark.parametrize("number", ["1e5000", "1e-5000", "1e10000000"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pipeline", "67", "--point", "{},1"],
+        ["search-points", "--height", "2", "--equation", "1", "0", "0", "0", "0", "0", "{}"],
+        ["identify-cm", "--minpoly", "1", "{}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_numbers_past_the_digit_limit_exit_3_promptly(argv, number):
+    # Python prints no integer of more than 4300 digits, and 10**10000000
+    # alone takes seconds to build
+    proc = run_cli(*(arg.format(number) for arg in argv), timeout=5)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "more than 4300 digits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_command_line_numbers_in_every_notation(capsys):
+    def stdout(*argv):
+        assert qstar.cli.main(list(argv)) == EXIT_OK
+        return capsys.readouterr().out
+
+    point = stdout("pipeline", "67", "--point", "2,-1")
+    assert stdout("pipeline", "67", "--point", "2e0,-1") == point
+    assert stdout("pipeline", "67", "--point", " 2 , -1 ") == point
+    assert stdout("identify-cm", "--minpoly", "1e0", "-54000") == stdout(
+        "identify-cm", "--minpoly", "1", "-54000"
+    )
+    parse = qstar.cli._parse_number
+    assert parse("3/2", "x") == parse("1.5", "x") == parse("15e-1", "x") == Fraction(3, 2)
+    assert parse("0e10000000", "x") == 0
+    assert parse("1e4299", "x") == 10**4299
+    assert parse("5e-4300", "x") == Fraction(1, 2 * 10**4299)
+    for huge in ("1e4300", "1e-4300", "-3e-99999999999999999999", "." + "0" * 4299 + "1"):
+        with pytest.raises(InputError, match="more than 4300 digits"):
+            parse(huge, "x")
+
+
 def test_off_curve_point_is_refused_before_the_level_is_built(
     tmp_path, monkeypatch, capsys
 ):
@@ -327,24 +367,23 @@ def test_hostile_level_exits_promptly(tmp_path, level, code):
 
 
 def test_semiprime_level_is_refused_before_factoring(tmp_path):
-    # Showing this 200-bit level square-free takes Pollard rho, which runs
-    # its whole budget (about 8 s) and then fails. sigma(N) >= N + 1 refuses
-    # it without --allow-large, and 84 coefficients are short of N + 13 with it.
-    # derive-equation has no divisor-sum budget and refuses it outright.
+    # Showing this 200-bit level square-free takes Pollard rho, which would
+    # run its whole budget (about 8 s) and then fail. The dataset refuses it
+    # after trial division, whatever the command and its flags.
     level = (2**99 + 255) * (2**100 + 277)
     path = write_dataset(tmp_path, "semiprime.json", level=level)
     only_rho = f"level {level} could be shown square-free only by Pollard rho"
-    for args, message in (
-        (["pipeline", path], f"divisor sum > {level} >= 150"),
-        (["express-j", path], f"divisor sum > {level} >= 150"),
-        (["pipeline", path, "--allow-large"], f"precision > {level + 12}, got 84"),
-        (["express-j", path, "--allow-large"], f"precision > {level + 12}, got 84"),
-        (["derive-equation", path], only_rho),
-        (["derive-equation", path, "--check-table"], only_rho),
+    for args in (
+        ["pipeline", path],
+        ["express-j", path],
+        ["pipeline", path, "--allow-large"],
+        ["express-j", path, "--allow-large"],
+        ["derive-equation", path],
+        ["derive-equation", path, "--check-table"],
     ):
         proc = run_cli(*args, timeout=5)
         assert proc.returncode == EXIT_PRECISION, (args, proc.stderr)
-        assert message in proc.stderr
+        assert only_rho in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -366,7 +405,7 @@ def test_express_j_anchor_coefficients():
     assert (data["m"], data["sigma"]) == ("2", "68")
     by_index = {}
     for expr in data["expressions"]:
-        terms = {(t["gen"], t["k"]): t["coeff"] for t in expr["terms"]}
+        terms = {(t["gen"], int(t["k"])): t["coeff"] for t in expr["terms"]}
         by_index[expr["i"]] = (expr["constant"], terms)
     const1, terms1 = by_index["1"]
     assert const1 == "-65536"
@@ -397,6 +436,19 @@ def test_express_j_index_out_of_range():
     proc = run_cli("express-j", "67", "--index", "5")
     assert proc.returncode == EXIT_INPUT
     assert "between 1 and 2" in proc.stderr
+
+
+def test_express_j_index_is_checked_before_the_level_is_built(monkeypatch, capsys):
+    class NeverBuilt:
+        @classmethod
+        def from_data(cls, dataset):
+            raise AssertionError("LevelContext.from_data ran for an out-of-range index")
+
+    monkeypatch.setattr(qstar.cli, "LevelContext", NeverBuilt)
+    for index in ("0", "3"):
+        assert qstar.cli.main(["express-j", "67", "--index", index]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "input error: index must be between 1 and 2 for level 67\n")
 
 
 # --- search-points ------------------------------------------------------------
@@ -653,16 +705,7 @@ def _non_string_leaves(node, path=()):
 def test_stdout_json_leaves_are_strings_booleans_or_null(args, capsys):
     assert qstar.cli.main(args) == EXIT_OK
     data = json.loads(capsys.readouterr().out)
-    leaves = list(_non_string_leaves(data))
-    if args[0] == "express-j":
-        # the one exception until ROADMAP item 14: the integer "k" of each term
-        assert leaves
-        for path in leaves:
-            assert path[::2] == ("expressions", "terms", "k"), path
-            value = data[path[0]][path[1]][path[2]][path[3]][path[4]]
-            assert type(value) is int, path
-        leaves = []
-    assert leaves == []
+    assert list(_non_string_leaves(data)) == []
 
 
 def test_help_exits_zero():

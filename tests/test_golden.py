@@ -1,12 +1,15 @@
 """Golden stdout: the CLI's bytes for fixed commands must not drift.
 
 Each digest is the sha256 and byte length of stdout for one command. The
-pipeline and express-j entries were taken before the point-report
-arithmetic moved to Newton-lifted roots, integer reduction and Horner
-evaluation; the validate-all, derive-equation, identify-cm and
-search-points entries before the value classes derived their constructors
-and the reports read their fields from the exact roots. A change that
-claims byte-identical output must leave every entry here as it is.
+pipeline entries were taken before the point-report arithmetic moved to
+Newton-lifted roots, integer reduction and Horner evaluation; the
+validate-all, derive-equation, identify-cm and search-points entries
+before the value classes derived their constructors and the reports read
+their fields from the exact roots. The express-j entries were taken when
+each term's "k" became a decimal string like every other number; read
+with "k" as an integer, they equal the output before that change. A
+change that claims byte-identical output must leave every entry here as
+it is.
 """
 
 import hashlib
@@ -33,13 +36,13 @@ GOLDEN = {
     ("pipeline", "107", "--height", "100"): (
         4086, "035436f83045d0819df2a50220eb7cd3997e6e97390fd13ce32a9a8066be95b9"),
     ("express-j", "67"): (
-        12951, "4b3ed59da3cd843f9e81d85aa67eae9d03874a364ce0d14b4882d15e37885e08"),
+        13213, "429bb0652e737cbbfed1b2d7f6162f5f585f36f1e578f5366a19a81fb5160f98"),
     ("express-j", "73"): (
-        14175, "060d2bb8e9695117674745937a1ea7336872ea57a0ba7f3ce4ff42b4932e937a"),
+        14457, "860b137efea5a1bc60172ec4b7a4c913731f1e995c2a558d276c8b1313f0d3a9"),
     ("express-j", "85"): (
-        40877, "5b203ba5672f4df4adf36dc85b7506b15e3bb77f5bfe1d5a1cf6ba8b6005b9d9"),
+        41665, "9917877bcae066ab1e8d10fd010a518e78555e4f9c0cf41368a162b5dab209f1"),
     ("express-j", "107"): (
-        20922, "a54461c3ea33f3f86ca8c8f7a84af8ca0f58be5f90c988a3e91bed7be513d53a"),
+        21340, "ea54de92c2bd97432ce35c8b0cd9a1d232df405178c45b86e4edb2a0fcb1e30a"),
     ("pipeline", "85", "--point", "3/2,-17/8"): (
         2316, "e20716312fe546f562d0b07c386f9f4a68a1bca383804969d6f1548e8586a04b"),
     ("validate-all",): (
@@ -72,10 +75,11 @@ def _make_datasets():
 
 # Level 165 has eight divisors, so its eight J_i share the reduction's
 # tables over several blocks; no bundled level has more than four.
-# Digests taken before the reduction became a blocked Horner scheme.
+# The pipeline digest was taken before the reduction became a blocked
+# Horner scheme, the express-j digest when "k" became a string.
 GOLDEN_165 = {
     ("express-j", "--allow-large"): (
-        258603, "f86fc3cf2c949e7f50e8a6cb6098aa47e2779bf02e7a71ad42db2433ad591f3b"),
+        262629, "7f523a6fb927eb55607ead2bc9813c1dca712c1d9937bd3e1f96e683a0709fb6"),
     ("pipeline", "--height", "100", "--allow-large"): (
         41521, "2181c2c12714b10310c4a89b33f6497db21230ebb9174dc395e3fead68ab7382"),
 }

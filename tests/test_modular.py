@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -13,6 +14,7 @@ from qstar.errors import (
     InputError,
     InsufficientPrecisionError,
     NonIntegralCoefficientError,
+    PrecisionError,
 )
 from qstar.fixtures import fixture_curve
 from qstar.modular import (
@@ -119,6 +121,20 @@ def test_json_rejects_float_coefficient():
         h1[3] = bad
         with pytest.raises(DatasetError, match="h1"):
             dataset_from_json(_raw_67(h1=h1))
+
+
+def test_level_admission_never_runs_pollard_rho():
+    # showing this 200-bit semiprime square-free would take Pollard rho's
+    # whole budget, about 8 s, before it failed
+    level = (2**99 + 255) * (2**100 + 277)
+    t0 = time.perf_counter()
+    with pytest.raises(PrecisionError, match=f"level {level} could be shown square-free only"):
+        dataset_from_json(_raw_67(level=level))
+    assert time.perf_counter() - t0 < 1
+    with pytest.raises(DatasetError, match="square-free"):
+        dataset_from_json(_raw_67(level=(2**61 - 1) ** 2))
+    # a prime cofactor past trial division is settled by the primality test
+    assert dataset_from_json(_raw_67(level=10**16 + 61)).level == 10**16 + 61
 
 
 def test_json_rejects_bools():
